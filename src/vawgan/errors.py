@@ -38,9 +38,5 @@ class TruncatedFileError(FormatError):
     """File ended before the declared payload was read."""
 
 
-class ConfigError(DataError):
-    """Malformed or inconsistent configuration text."""
-
-
 class NumericError(Exception):
     """Non-finite values encountered where finite ones are required."""

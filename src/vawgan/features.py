@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -254,87 +255,84 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState | None = None):
 # binary formats (bit-exact)
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise TruncatedFileError(f"file ended while reading {what}")
-    return buf
+class _Decoder:
+    """Cursor over the whole bytes of one VAWF or VAWN file.
+
+    The constructor checks magic and version. Every read first compares the
+    length the header declares with the bytes that remain, so a header that
+    promises more than the file holds raises TruncatedFileError before
+    anything is read or allocated; ``finish`` rejects trailing bytes.
+    """
+
+    def __init__(self, blob: bytes, magic: bytes, label: str):
+        self.blob, self.pos, self.label = blob, 0, label
+        self._take(4, "magic")
+        got = bytes(blob[:4])
+        if got != magic:
+            raise BadMagicError(f"bad magic for {label}: expected {magic!r}, got {got!r}")
+        (version,) = self.u32(1, "version")
+        if version != FORMAT_VERSION:
+            raise BadVersionError(f"unsupported {label} version {version}, expected {FORMAT_VERSION}")
+
+    def _take(self, nbytes: int, what: str) -> int:
+        start = self.pos
+        if nbytes > len(self.blob) - start:
+            raise TruncatedFileError(f"{self.label} ended while reading {what}")
+        self.pos = start + nbytes
+        return start
+
+    def u32(self, count: int, what: str) -> tuple:
+        return struct.unpack_from(f"<{count}I", self.blob, self._take(4 * count, what))
+
+    def f4(self, count: int, what: str) -> np.ndarray:
+        offset = self._take(4 * count, what)
+        return np.frombuffer(self.blob, dtype="<f4", count=count, offset=offset).copy()
+
+    def finish(self):
+        if self.pos != len(self.blob):
+            raise TruncatedFileError(f"trailing bytes after {self.label} payload")
 
 
-def _check_header(fh, magic: bytes, label: str):
-    got = _read_exact(fh, 4, f"{label} magic")
-    if got != magic:
-        raise BadMagicError(f"bad magic for {label}: expected {magic!r}, got {got!r}")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, f"{label} version"))
-    if version != FORMAT_VERSION:
-        raise BadVersionError(f"unsupported {label} version {version}, expected {FORMAT_VERSION}")
+def _encode(magic: bytes, header: tuple, *arrays) -> bytes:
+    return b"".join(
+        [magic, struct.pack(f"<{len(header) + 1}I", FORMAT_VERSION, *header)]
+        + [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays]
+    )
 
 
 def write_frames(fm: FrameMatrix, path):
     """Write a frame file: magic VAWF, version, speaker, dim, count, flags, payload."""
     flags = 1 if fm.energy is not None else 0
-    payload = [
-        FRAME_MAGIC,
-        struct.pack("<IIIII", FORMAT_VERSION, fm.speaker_id, fm.dim, fm.num_frames, flags),
-        np.ascontiguousarray(fm.frames, dtype="<f4").tobytes(),
-    ]
-    if fm.energy is not None:
-        payload.append(np.ascontiguousarray(fm.energy, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(payload))
+    arrays = (fm.frames,) if fm.energy is None else (fm.frames, fm.energy)
+    blob = _encode(FRAME_MAGIC, (fm.speaker_id, fm.dim, fm.num_frames, flags), *arrays)
+    Path(path).write_bytes(blob)
 
 
 def read_frames(path) -> FrameMatrix:
-    with open(path, "rb") as fh:
-        _check_header(fh, FRAME_MAGIC, "frame file")
-        speaker_id, dim, num_frames, flags = struct.unpack(
-            "<IIII", _read_exact(fh, 16, "frame header")
-        )
-        frames = np.frombuffer(
-            _read_exact(fh, 4 * dim * num_frames, "frame payload"), dtype="<f4"
-        ).reshape(num_frames, dim)
-        energy = None
-        if flags & 1:
-            energy = np.frombuffer(_read_exact(fh, 4 * num_frames, "energy payload"), dtype="<f4")
-        if fh.read(1):
-            raise TruncatedFileError("trailing bytes after frame payload")
-    return FrameMatrix(speaker_id=speaker_id, frames=frames.copy(), energy=energy)
+    dec = _Decoder(Path(path).read_bytes(), FRAME_MAGIC, "frame file")
+    speaker_id, dim, num_frames, flags = dec.u32(4, "frame header")
+    frames = dec.f4(dim * num_frames, "frame payload").reshape(num_frames, dim)
+    energy = dec.f4(num_frames, "energy payload") if flags & 1 else None
+    dec.finish()
+    return FrameMatrix(speaker_id=speaker_id, frames=frames, energy=energy)
 
 
 def write_norm_stats(s: NormStats, path):
-    with open(path, "wb") as fh:
-        fh.write(NORM_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, s.dim))
-        fh.write(np.ascontiguousarray(s.mins, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(s.maxs, dtype="<f4").tobytes())
+    Path(path).write_bytes(norm_stats_to_bytes(s))
 
 
 def read_norm_stats(path) -> NormStats:
-    with open(path, "rb") as fh:
-        _check_header(fh, NORM_MAGIC, "normalizer file")
-        (dim,) = struct.unpack("<I", _read_exact(fh, 4, "normalizer dim"))
-        mins = np.frombuffer(_read_exact(fh, 4 * dim, "normalizer mins"), dtype="<f4")
-        maxs = np.frombuffer(_read_exact(fh, 4 * dim, "normalizer maxs"), dtype="<f4")
-        if fh.read(1):
-            raise TruncatedFileError("trailing bytes after normalizer payload")
-    return NormStats(mins=mins.copy(), maxs=maxs.copy())
+    return norm_stats_from_bytes(Path(path).read_bytes())
 
 
 def norm_stats_to_bytes(s: NormStats) -> bytes:
-    return (
-        NORM_MAGIC
-        + struct.pack("<II", FORMAT_VERSION, s.dim)
-        + np.ascontiguousarray(s.mins, dtype="<f4").tobytes()
-        + np.ascontiguousarray(s.maxs, dtype="<f4").tobytes()
-    )
+    return _encode(NORM_MAGIC, (s.dim,), s.mins, s.maxs)
 
 
 def norm_stats_from_bytes(blob: bytes) -> NormStats:
-    import io
-
-    fh = io.BytesIO(blob)
-    _check_header(fh, NORM_MAGIC, "normalizer blob")
-    (dim,) = struct.unpack("<I", _read_exact(fh, 4, "normalizer dim"))
-    mins = np.frombuffer(_read_exact(fh, 4 * dim, "normalizer mins"), dtype="<f4")
-    maxs = np.frombuffer(_read_exact(fh, 4 * dim, "normalizer maxs"), dtype="<f4")
-    return NormStats(mins=mins.copy(), maxs=maxs.copy())
+    dec = _Decoder(blob, NORM_MAGIC, "normalizer file")
+    (dim,) = dec.u32(1, "normalizer dim")
+    mins = dec.f4(dim, "normalizer mins")
+    maxs = dec.f4(dim, "normalizer maxs")
+    dec.finish()
+    return NormStats(mins=mins, maxs=maxs)

@@ -15,6 +15,7 @@ CPU training, not a reproduction of any particular architecture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,10 @@ class NetworkConfig:
             raise DataError("generator_channels and generator_upsamples must have equal length")
         if len(self.critic_channels) != len(self.critic_strides):
             raise DataError("critic_channels and critic_strides must have equal length")
-        up = int(np.prod(self.generator_upsamples)) if self.generator_upsamples else 1
-        if self.dim % up != 0:
+        if self.dim % self._upsample_product != 0:
             raise DataError(
-                f"feature dim {self.dim} is not divisible by the upsample product {up}"
+                f"feature dim {self.dim} is not divisible by the upsample product "
+                f"{self._upsample_product}"
             )
         # padding = kernel // 2 keeps every conv output length >= 1, so strided
         # stacks cannot collapse the signal; conv1d still guards the general case
@@ -62,9 +63,16 @@ class NetworkConfig:
         return self.kernel_size // 2
 
     @property
+    def _upsample_product(self) -> int:
+        return math.prod(self.generator_upsamples)
+
+    @property
     def generator_seed_length(self) -> int:
-        up = int(np.prod(self.generator_upsamples)) if self.generator_upsamples else 1
-        return self.dim // up
+        return self.dim // self._upsample_product
+
+    @property
+    def _generator_seed_width(self) -> int:
+        return self.generator_channels[0] if self.generator_channels else 1
 
     def conv_lengths(self, strides) -> list[int]:
         lengths = [self.dim]
@@ -158,15 +166,19 @@ def _zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
-def init_encoder(config: NetworkConfig, rng: RngState, dtype=np.float32) -> EncoderParams:
-    k = config.kernel_size
-    tensors = {}
-    c_prev = 1
-    for i, c in enumerate(config.encoder_channels):
-        tensors[f"conv{i}.w"] = _init_tensor(rng, (c, c_prev, k), c_prev * k, dtype)
+def _init_conv_stack(tensors: dict, rng: RngState, c_in: int, channels, k: int, dtype) -> int:
+    """Add conv{i}.w / conv{i}.b for each output width; return the last width."""
+    for i, c in enumerate(channels):
+        tensors[f"conv{i}.w"] = _init_tensor(rng, (c, c_in, k), c_in * k, dtype)
         tensors[f"conv{i}.b"] = _zeros((c, 1), dtype)
-        c_prev = c
-    flat = c_prev * config.conv_lengths(config.encoder_strides)[-1]
+        c_in = c
+    return c_in
+
+
+def init_encoder(config: NetworkConfig, rng: RngState, dtype=np.float32) -> EncoderParams:
+    tensors = {}
+    c_out = _init_conv_stack(tensors, rng, 1, config.encoder_channels, config.kernel_size, dtype)
+    flat = c_out * config.conv_lengths(config.encoder_strides)[-1]
     for head in ("mu", "logvar"):
         tensors[f"{head}.w"] = _init_tensor(rng, (flat, config.z_dim), flat, dtype)
         tensors[f"{head}.b"] = _zeros((config.z_dim,), dtype)
@@ -182,17 +194,12 @@ def init_generator(config: NetworkConfig, rng: RngState, dtype=np.float32) -> Ge
         )
     }
     merged = config.z_dim + config.embedding_dim
-    channels = config.generator_channels
-    seed_width = channels[0] if channels else 1
-    seed_len = config.generator_seed_length
-    tensors["merge.w"] = _init_tensor(rng, (merged, seed_width * seed_len), merged, dtype)
-    tensors["merge.b"] = _zeros((seed_width * seed_len,), dtype)
-    c_prev = seed_width
-    for i, c in enumerate(channels):
-        tensors[f"conv{i}.w"] = _init_tensor(rng, (c, c_prev, k), c_prev * k, dtype)
-        tensors[f"conv{i}.b"] = _zeros((c, 1), dtype)
-        c_prev = c
-    tensors["out.w"] = _init_tensor(rng, (1, c_prev, k), c_prev * k, dtype)
+    seed_width = config._generator_seed_width
+    seed_size = seed_width * config.generator_seed_length
+    tensors["merge.w"] = _init_tensor(rng, (merged, seed_size), merged, dtype)
+    tensors["merge.b"] = _zeros((seed_size,), dtype)
+    c_out = _init_conv_stack(tensors, rng, seed_width, config.generator_channels, k, dtype)
+    tensors["out.w"] = _init_tensor(rng, (1, c_out, k), c_out * k, dtype)
     tensors["out.b"] = _zeros((1, 1), dtype)
     return GeneratorParams(config=config, tensors=tensors)
 
@@ -200,14 +207,9 @@ def init_generator(config: NetworkConfig, rng: RngState, dtype=np.float32) -> Ge
 def init_critic(
     config: NetworkConfig, rng: RngState, clip_bound: float = 0.01, dtype=np.float32
 ) -> CriticParams:
-    k = config.kernel_size
     tensors = {}
-    c_prev = 1
-    for i, c in enumerate(config.critic_channels):
-        tensors[f"conv{i}.w"] = _init_tensor(rng, (c, c_prev, k), c_prev * k, dtype)
-        tensors[f"conv{i}.b"] = _zeros((c, 1), dtype)
-        c_prev = c
-    flat = c_prev * config.conv_lengths(config.critic_strides)[-1]
+    c_out = _init_conv_stack(tensors, rng, 1, config.critic_channels, config.kernel_size, dtype)
+    flat = c_out * config.conv_lengths(config.critic_strides)[-1]
     tensors["out.w"] = _init_tensor(rng, (flat, 1), flat, dtype)
     tensors["out.b"] = _zeros((1,), dtype)
     return CriticParams(config=config, tensors=tensors, clip_bound=clip_bound)
@@ -240,17 +242,23 @@ def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig
     return h
 
 
+def _conv_trunk(x, params, strides, caller: str, net: str) -> Tensor:
+    """(batch, dim) frames through a strided conv stack, flattened to (batch, C * L)."""
+    config = params.config
+    x = nm.as_tensor(x)
+    if x.data.ndim != 2 or x.shape[1] != config.dim:
+        raise ShapeError(f"{caller}: expected (batch, {config.dim}) frames, got {x.shape}")
+    batch = x.shape[0]
+    h = nm.reshape(x, (batch, 1, config.dim))
+    for i, stride in enumerate(strides):
+        h = _conv_block(h, params.tensors, i, stride, config, net)
+    return nm.reshape(h, (batch, h.shape[1] * h.shape[2]))
+
+
 def encode(x, params: EncoderParams):
     """Posterior statistics for a batch of normalized frames: (mu, log_var)."""
     cfg = params.config
-    x = nm.as_tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != cfg.dim:
-        raise ShapeError(f"encode: expected (batch, {cfg.dim}) frames, got {x.shape}")
-    batch = x.shape[0]
-    h = nm.reshape(x, (batch, 1, cfg.dim))
-    for i, stride in enumerate(cfg.encoder_strides):
-        h = _conv_block(h, params.tensors, i, stride, cfg, "encoder")
-    h = nm.reshape(h, (batch, h.shape[1] * h.shape[2]))
+    h = _conv_trunk(x, params, cfg.encoder_strides, "encode", "encoder")
     mu = nm.add(nm.matmul(h, params.tensors["mu.w"]), params.tensors["mu.b"])
     log_var = nm.add(nm.matmul(h, params.tensors["logvar.w"]), params.tensors["logvar.b"])
     log_var = nm.clip(log_var, -cfg.logvar_bound, cfg.logvar_bound)
@@ -304,15 +312,9 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     h = nm.leaky_relu(h, slope=cfg.leaky_slope)
     _ensure_finite(h, "generator merge layer")
 
-    channels = cfg.generator_channels
-    seed_width = channels[0] if channels else 1
-    h = nm.reshape(h, (batch, seed_width, cfg.generator_seed_length))
+    h = nm.reshape(h, (batch, cfg._generator_seed_width, cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
-        h = _upsample(h, factor)
-        h = nm.conv1d(h, params.tensors[f"conv{i}.w"], stride=1, padding=cfg.padding)
-        h = nm.add(h, params.tensors[f"conv{i}.b"])
-        h = nm.leaky_relu(h, slope=cfg.leaky_slope)
-        _ensure_finite(h, f"generator conv layer {i}")
+        h = _conv_block(_upsample(h, factor), params.tensors, i, 1, cfg, "generator")
     h = nm.conv1d(h, params.tensors["out.w"], stride=1, padding=cfg.padding)
     h = nm.add(h, params.tensors["out.b"])
     h = nm.tanh(h)
@@ -321,34 +323,38 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
 
 def criticize(x, params: CriticParams) -> Tensor:
     """Unbounded real score per frame; higher means more target-like."""
-    cfg = params.config
-    x = nm.as_tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != cfg.dim:
-        raise ShapeError(f"criticize: expected (batch, {cfg.dim}) frames, got {x.shape}")
-    batch = x.shape[0]
-    h = nm.reshape(x, (batch, 1, cfg.dim))
-    for i, stride in enumerate(cfg.critic_strides):
-        h = _conv_block(h, params.tensors, i, stride, cfg, "critic")
-    h = nm.reshape(h, (batch, h.shape[1] * h.shape[2]))
+    h = _conv_trunk(x, params, params.config.critic_strides, "criticize", "critic")
     h = nm.add(nm.matmul(h, params.tensors["out.w"]), params.tensors["out.b"])
-    return nm.reshape(h, (batch,))
+    return nm.reshape(h, (h.shape[0],))
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz certificate
 
 
+# basis vectors per conv1d call when unrolling a conv layer: at dim 512 the
+# whole identity basis and its padded copy would take 270 MB at once, four
+# times the 67 MB matrix they produce
+_BASIS_BLOCK = 512
+
+
 def _conv_operator_matrix(w: np.ndarray, length: int, stride: int, padding: int) -> np.ndarray:
-    """Unroll a conv layer at a fixed input length into its dense matrix."""
-    c_out, c_in, kernel = w.shape
-    l_out = (length + 2 * padding - kernel) // stride + 1
-    basis = np.eye(c_in * length, dtype=np.float64).reshape(c_in * length, c_in, length)
-    xp = np.pad(basis, ((0, 0), (0, 0), (padding, padding)))
-    out = np.zeros((c_in * length, c_out, l_out))
-    for k in range(kernel):
-        seg = xp[:, :, k : k + stride * l_out : stride]
-        out += np.tensordot(seg, w[:, :, k].astype(np.float64), axes=([1], [1])).transpose(0, 2, 1)
-    return out.reshape(c_in * length, c_out * l_out).T
+    """Dense matrix of a conv layer at a fixed input length, built by running
+    ``nm.conv1d`` in float64 on the identity basis, one block at a time.
+
+    Rows are output positions in the (length, channel) order that conv1d
+    computes them in, so the blocks join without a reorder; a row
+    permutation leaves the singular values unchanged.
+    """
+    c_in = w.shape[1]
+    n = c_in * length
+    w64 = w.astype(np.float64)
+    blocks = []
+    for start in range(0, n, _BASIS_BLOCK):
+        basis = np.eye(min(_BASIS_BLOCK, n - start), n, k=start).reshape(-1, c_in, length)
+        out = nm.conv1d(basis, w64, stride=stride, padding=padding).data
+        blocks.append(out.transpose(0, 2, 1))
+    return np.concatenate(blocks).reshape(n, -1).T
 
 
 def critic_lipschitz_bound(params: CriticParams) -> float:
@@ -359,28 +365,12 @@ def critic_lipschitz_bound(params: CriticParams) -> float:
     """
     cfg = params.config
     bound = 1.0
-    length = cfg.dim
     act = max(1.0, cfg.leaky_slope)
+    lengths = cfg.conv_lengths(cfg.critic_strides)
     for i, stride in enumerate(cfg.critic_strides):
         w = params.tensors[f"conv{i}.w"].data
-        mat = _conv_operator_matrix(w, length, stride, cfg.padding)
+        mat = _conv_operator_matrix(w, lengths[i], stride, cfg.padding)
         bound *= np.linalg.svd(mat, compute_uv=False)[0] * act
-        length = (length + 2 * cfg.padding - cfg.kernel_size) // stride + 1
     out_w = params.tensors["out.w"].data.astype(np.float64)
     bound *= np.linalg.svd(out_w, compute_uv=False)[0]
     return float(bound)
-
-
-def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy of all parameter tensors (data only, no gradients)."""
-
-    def copy_group(group):
-        return {k: Tensor(t.data.copy(), requires_grad=t.requires_grad) for k, t in group.items()}
-
-    return ModelParams(
-        encoder=EncoderParams(params.encoder.config, copy_group(params.encoder.tensors)),
-        generator=GeneratorParams(params.generator.config, copy_group(params.generator.tensors)),
-        critic=CriticParams(
-            params.critic.config, copy_group(params.critic.tensors), params.critic.clip_bound
-        ),
-    )

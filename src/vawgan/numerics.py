@@ -32,8 +32,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -60,34 +60,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; keeps model code readable
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     """Wrap arrays/scalars as constant tensors; pass tensors through."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)
 
 
 def _result(data, parents, backward_fn, op: str) -> Tensor:
@@ -482,11 +460,3 @@ class RngState:
 
     def integers(self, upper: int, size=None) -> np.ndarray:
         return self._generator().integers(0, upper, size=size)
-
-    def copy(self) -> "RngState":
-        return RngState(self.seed, self.counter)
-
-
-def sample_standard_normal(rng: RngState, shape, dtype=np.float64) -> Tensor:
-    """i.i.d. N(0,1) draws as a constant tensor; advances the rng counter."""
-    return Tensor(rng.standard_normal(shape, dtype=dtype))

@@ -52,21 +52,6 @@ def wgan_objective(real_scores, fake_scores) -> Tensor:
     return nm.sub(nm.reduce_mean(real_scores), nm.reduce_mean(fake_scores))
 
 
-def _softplus(t: Tensor) -> Tensor:
-    # log(1 + exp(t)) computed as relu(t) + log(1 + exp(-|t|)) for stability
-    relu = nm.leaky_relu(t, slope=0.0)
-    absval = nm.add(relu, nm.leaky_relu(nm.mul(t, -1.0), slope=0.0))
-    return nm.add(relu, nm.log(nm.add(nm.exp(nm.mul(absval, -1.0)), 1.0)))
-
-
-def jsgan_objective(real_logits, fake_logits) -> Tensor:
-    """E[log sigmoid(real)] + E[log(1 - sigmoid(fake))]; ablation objective only."""
-    real_logits, fake_logits = nm.as_tensor(real_logits), nm.as_tensor(fake_logits)
-    real_term = nm.mul(nm.reduce_mean(_softplus(nm.mul(real_logits, -1.0))), -1.0)
-    fake_term = nm.mul(nm.reduce_mean(_softplus(fake_logits)), -1.0)
-    return nm.add(real_term, fake_term)
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     """Component record of one training step's objectives."""

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,14 @@ from vawgan.errors import (
 )
 from vawgan.features import FrameMatrix, NormStats, SyntheticSpec
 from vawgan.numerics import RngState
+
+VAWN = ft.norm_stats_to_bytes(NormStats(mins=[-1.5, 0.0], maxs=[2.5, 0.0]))
+
+
+def _raised(read, source):
+    with pytest.raises(Exception) as info:
+        read(source)
+    return info.type
 
 
 def _random_corpus(seed=0, n=50, dim=5):
@@ -224,6 +234,20 @@ class TestFrameFileFormat:
         with pytest.raises(TruncatedFileError):
             ft.read_frames(path)
 
+    def test_truncation_inside_energy(self, tmp_path):
+        path = tmp_path / "short.vawf"
+        ft.write_frames(FrameMatrix(0, np.ones((4, 3)), energy=np.zeros(4)), path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(TruncatedFileError):
+            ft.read_frames(path)
+
+    def test_header_larger_than_any_file(self, tmp_path):
+        # dim = count = 2**32 - 1 with energy, and no payload at all
+        path = tmp_path / "huge.vawf"
+        path.write_bytes(b"VAWF" + struct.pack("<IIIII", 1, 0, 2**32 - 1, 2**32 - 1, 1))
+        with pytest.raises(TruncatedFileError):
+            ft.read_frames(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "long.vawf"
         ft.write_frames(FrameMatrix(0, [[1.0]]), path)
@@ -265,3 +289,25 @@ class TestNormStatsFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(BadVersionError):
             ft.read_norm_stats(path)
+
+
+class TestNormStatsReadersAgree:
+    """The bytes reader and the file reader reject each bad VAWN blob alike."""
+
+    @pytest.mark.parametrize(
+        "blobs, expected",
+        [
+            pytest.param([VAWN + b"\0"], TruncatedFileError, id="appended-byte"),
+            pytest.param([VAWN[:n] for n in range(len(VAWN))], TruncatedFileError, id="prefixes"),
+            pytest.param([b"WRNG" + VAWN[4:]], BadMagicError, id="bad-magic"),
+            pytest.param(
+                [VAWN[:4] + (9).to_bytes(4, "little") + VAWN[8:]], BadVersionError, id="bad-version"
+            ),
+        ],
+    )
+    def test_same_exception(self, tmp_path, blobs, expected):
+        path = tmp_path / "stats.vawn"
+        for blob in blobs:
+            path.write_bytes(blob)
+            assert _raised(ft.norm_stats_from_bytes, blob) is expected
+            assert _raised(ft.read_norm_stats, path) is expected

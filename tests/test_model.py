@@ -220,12 +220,3 @@ class TestConfigValidation:
         s1 = md.criticize(x, params.critic).data
         s2 = md.criticize(x, params.critic).data
         assert np.array_equal(s1, s2)
-
-
-class TestCloneParams:
-    def test_clone_is_deep(self):
-        params = md.init_model(CHECK_CONFIG, RngState(seed=12))
-        copy = md.clone_params(params)
-        copy.encoder.tensors["mu.b"].data[:] = 99.0
-        assert params.encoder.tensors["mu.b"].data.max() != 99.0
-        assert copy.critic.clip_bound == params.critic.clip_bound

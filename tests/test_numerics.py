@@ -200,17 +200,17 @@ class TestGradCheck:
 
 class TestRng:
     def test_large_sample_moments(self):
-        draws = nm.sample_standard_normal(RngState(seed=123), (100_000,)).data
+        draws = RngState(seed=123).standard_normal((100_000,))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_same_seed_same_draws(self):
-        a = nm.sample_standard_normal(RngState(seed=42), (17, 3)).data
-        b = nm.sample_standard_normal(RngState(seed=42), (17, 3)).data
+        a = RngState(seed=42).standard_normal((17, 3))
+        b = RngState(seed=42).standard_normal((17, 3))
         assert np.array_equal(a, b)
 
     def test_shape(self):
-        assert nm.sample_standard_normal(RngState(seed=0), (2, 3)).size == 6
+        assert RngState(seed=0).standard_normal((2, 3)).size == 6
 
     def test_counter_advances_and_pins_state(self):
         rng = RngState(seed=9)

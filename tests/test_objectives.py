@@ -114,29 +114,6 @@ class TestWganObjective:
         assert (fake.grad < 0).all()
 
 
-class TestJsganObjective:
-    def test_uninformative_logits(self):
-        value = obj.jsgan_objective(np.zeros(4), np.zeros(4)).item()
-        assert value == pytest.approx(2.0 * np.log(0.5), rel=1e-9)
-
-    def test_perfect_discriminator_limit(self):
-        value = obj.jsgan_objective(np.full(3, 40.0), np.full(3, -40.0)).item()
-        assert -1e-10 < value <= 0.0
-
-    def test_against_direct_formula(self):
-        rng = np.random.default_rng(21)
-        real, fake = rng.normal(size=50) * 3, rng.normal(size=50) * 3
-        sig = lambda t: 1.0 / (1.0 + np.exp(-t))
-        direct = np.log(sig(real)).mean() + np.log(1.0 - sig(fake)).mean()
-        assert abs(obj.jsgan_objective(real, fake).item() - direct) < 1e-10
-
-    def test_differentiable(self):
-        real = Tensor(np.array([0.3, -0.2]), requires_grad=True)
-        fake = Tensor(np.array([0.1]), requires_grad=True)
-        nm.backward(obj.jsgan_objective(real, fake))
-        assert real.grad is not None and fake.grad is not None
-
-
 class TestVawganTotal:
     def test_alpha_zero_reduces_generator_to_reconstruction(self):
         breakdown = obj.vawgan_total(j_lat=0.7, j_obs=1.3, j_wgan=5.0, alpha=0.0)
