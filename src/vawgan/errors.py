@@ -2,7 +2,8 @@
 
 Three families matter to callers: shape/graph misuse (ShapeError),
 bad data or files (DataError and subclasses), and numerical blow-ups
-(NumericError). The CLI maps them to exit codes 1/2/3 respectively.
+(NumericError). Exit codes 1/2/3 are reserved for them, in that order,
+for the planned command-line interface; the package has none yet.
 """
 
 

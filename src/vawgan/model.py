@@ -44,12 +44,16 @@ class NetworkConfig:
     logvar_bound: float = 14.0
 
     def __post_init__(self):
-        if len(self.encoder_channels) != len(self.encoder_strides):
-            raise DataError("encoder_channels and encoder_strides must have equal length")
-        if len(self.generator_channels) != len(self.generator_upsamples):
-            raise DataError("generator_channels and generator_upsamples must have equal length")
-        if len(self.critic_channels) != len(self.critic_strides):
-            raise DataError("critic_channels and critic_strides must have equal length")
+        for net, step in (("encoder", "strides"), ("generator", "upsamples"), ("critic", "strides")):
+            channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
+            if len(channels) != len(factors):
+                raise DataError(f"{net}_channels and {net}_{step} must have equal length")
+            if min(factors, default=1) < 1:
+                raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
+        if self.kernel_size < 1:
+            raise DataError(f"kernel_size must be >= 1, got {self.kernel_size}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise DataError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
@@ -116,31 +120,22 @@ class ModelParams:
     generator: GeneratorParams
     critic: CriticParams
 
+    def _groups(self):
+        return (("enc", self.encoder.tensors), ("gen", self.generator.tensors),
+                ("critic", self.critic.tensors))
+
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, group in (
-            ("enc", self.encoder.tensors),
-            ("gen", self.generator.tensors),
-            ("critic", self.critic.tensors),
-        ):
-            for name, t in group.items():
-                out[f"{prefix}.{name}"] = t
-        return out
+        return {f"{prefix}.{name}": t for prefix, group in self._groups() for name, t in group.items()}
 
     def zero_grad(self):
         for t in self.named_parameters().values():
             t.zero_grad()
 
     def set_requires_grad(self, encoder=None, generator=None, critic=None):
-        for flag, group in (
-            (encoder, self.encoder.tensors),
-            (generator, self.generator.tensors),
-            (critic, self.critic.tensors),
-        ):
-            if flag is None:
-                continue
-            for t in group.values():
-                t.requires_grad = flag
+        for flag, (_, group) in zip((encoder, generator, critic), self._groups()):
+            if flag is not None:
+                for t in group.values():
+                    t.requires_grad = flag
 
 
 @dataclass
@@ -342,9 +337,8 @@ def _conv_operator_matrix(w: np.ndarray, length: int, stride: int, padding: int)
     """Dense matrix of a conv layer at a fixed input length, built by running
     ``nm.conv1d`` in float64 on the identity basis, one block at a time.
 
-    Rows are output positions in the (length, channel) order that conv1d
-    computes them in, so the blocks join without a reorder; a row
-    permutation leaves the singular values unchanged.
+    Rows are output positions in the (channel, position) order of conv1d's
+    contiguous output, the order the trunk flattens them in.
     """
     c_in = w.shape[1]
     n = c_in * length
@@ -352,8 +346,7 @@ def _conv_operator_matrix(w: np.ndarray, length: int, stride: int, padding: int)
     blocks = []
     for start in range(0, n, _BASIS_BLOCK):
         basis = np.eye(min(_BASIS_BLOCK, n - start), n, k=start).reshape(-1, c_in, length)
-        out = nm.conv1d(basis, w64, stride=stride, padding=padding).data
-        blocks.append(out.transpose(0, 2, 1))
+        blocks.append(nm.conv1d(basis, w64, stride=stride, padding=padding).data)
     return np.concatenate(blocks).reshape(n, -1).T
 
 

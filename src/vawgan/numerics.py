@@ -7,13 +7,16 @@ topological order; ``grad_check`` compares the result against central
 finite differences element by element.
 
 The primitive set is deliberately small: matmul, 1-D convolution along
-the feature axis, elementwise add/sub/mul, leaky-ReLU, tanh, exp, log,
-square, clip, reduce-sum/mean, broadcast, concat, reshape. Tests verify
-each against finite differences at 64-bit precision; training may run
-at 32-bit.
+the feature axis (im2col, one matmul, activations kept as (batch,
+channels, length)), elementwise add/sub/mul, branch-free leaky-ReLU,
+tanh, exp, log, square, clip, reduce-sum/mean, broadcast, concat,
+reshape. Tests verify each against finite differences at 64-bit
+precision; training may run at 32-bit.
 
 All primitives are pure: inputs are never mutated, and identical inputs
-give bitwise-identical outputs on one platform.
+give bitwise-identical outputs on one platform. Backward closures re-read
+their inputs' ``data`` (conv1d rebuilds its columns from ``x.data``), so
+do not mutate a tensor between its forward use and ``backward``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -160,7 +164,10 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution along the last (feature) axis.
 
     x: (batch, in_channels, length), w: (out_channels, in_channels, kernel).
-    Zero padding; output length (L + 2p - K) // stride + 1.
+    Zero padding; output length (L + 2p - K) // stride + 1. im2col: one matmul
+    gives a C-contiguous result in the promoted dtype of x and w, as matmul
+    does. The tape keeps ``x``, not the columns, and backward rebuilds them
+    from ``x.data``: do not mutate ``x`` before ``backward``.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride < 1:
@@ -173,46 +180,46 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv1d: channel mismatch, input {c_in} vs kernel {c_in_w}")
     l_out = (length + 2 * padding - kernel) // stride + 1
     if l_out < 1:
-        raise ShapeError(
-            f"conv1d: kernel {kernel} with padding {padding} does not fit length {length}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+        raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {length}")
 
-    acc = np.zeros((batch, l_out, c_out), dtype=xp.dtype)
-    for k in range(kernel):
-        seg = xp[:, :, k : k + stride * l_out : stride]  # (B, Cin, Lout)
-        acc += np.tensordot(seg, w.data[:, :, k], axes=([1], [1]))
-    data = acc.transpose(0, 2, 1)
+    def columns():  # im2col: the windows of the padded input as (B, Cin * K, Lout)
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+        windows = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]  # (B, Cin, Lout, K)
+        return windows.transpose(0, 1, 3, 2).reshape(batch, c_in * kernel, l_out)
+
+    w2 = w.data.reshape(c_out, c_in * kernel)
+    data = w2 @ columns()
 
     def backward_fn(g):
         gw = gx = None
-        if w.requires_grad:
-            gw = np.zeros_like(w.data)
+        if w.requires_grad:  # the columns are freed before gcols below is allocated
+            gw = (g @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-        gt = g.transpose(0, 2, 1)  # (B, Lout, Cout)
-        for k in range(kernel):
-            seg = xp[:, :, k : k + stride * l_out : stride]
-            if gw is not None:
-                gw[:, :, k] = np.tensordot(g, seg, axes=([0, 2], [0, 2]))
-            if x.requires_grad:
-                contrib = np.tensordot(gt, w.data[:, :, k], axes=([2], [0]))
-                gxp[:, :, k : k + stride * l_out : stride] += contrib.transpose(0, 2, 1)
-        if x.requires_grad:
-            gx = gxp[:, :, padding : padding + length] if padding else gxp
+            gcols = (w2.T @ g).reshape(batch, c_in, kernel, l_out)
+            gxp = np.zeros((batch, c_in, length + 2 * padding), dtype=x.data.dtype)
+            for k in range(kernel):  # col2im: scatter each tap back onto its inputs
+                gxp[:, :, k : k + stride * l_out : stride] += gcols[:, :, k]
+            gx = gxp[:, :, padding : padding + length]
         return (gx, gw)
 
     return _result(data, (x, w), backward_fn, "conv1d")
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
-    """max(x, slope*x); at 0 the value is 0 and the subgradient is 1."""
+    """max(x, slope*x), slope in [0, 1]; at 0 the value is 0 and the subgradient is 1.
+
+    Branch-free: ``np.maximum`` forward; backward scales by [slope, 1] indexed by x >= 0.
+    """
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
     x = as_tensor(x)
-    positive = x.data >= 0
-    data = np.where(positive, x.data, slope * x.data)
+    data = np.multiply(x.data, slope, out=np.empty_like(x.data))
+    np.maximum(x.data, data, out=data)
 
     def backward_fn(g):
-        return (np.where(positive, g, slope * g),)
+        scale = np.array([slope, 1.0], dtype=g.dtype).take((x.data >= 0).view(np.uint8))
+        scale *= g
+        return (scale,)
 
     return _result(data, (x,), backward_fn, "leaky_relu")
 

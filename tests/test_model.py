@@ -211,6 +211,22 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="equal length"):
             NetworkConfig(dim=8, encoder_channels=(4, 4, 4), encoder_strides=(1, 2))
 
+    @pytest.mark.parametrize(
+        "knob, match",
+        [
+            ({"encoder_strides": (0, 2, 2)}, "strides"),
+            ({"critic_strides": (1, 2, 0)}, "strides"),
+            ({"generator_upsamples": (0, 2, 2)}, "upsample"),
+            ({"kernel_size": 0}, "kernel_size"),
+            ({"leaky_slope": 1.5}, "leaky_slope"),
+            ({"leaky_slope": -0.1}, "leaky_slope"),
+        ],
+        ids=["encoder-stride", "critic-stride", "upsample", "kernel", "slope-high", "slope-low"],
+    )
+    def test_out_of_range_setting_rejected(self, knob, match):
+        with pytest.raises(DataError, match=match):
+            NetworkConfig(dim=8, **knob)
+
     def test_purity_of_forward_passes(self):
         params = md.init_model(CHECK_CONFIG, RngState(seed=5), dtype=np.float64)
         x = _frames(np.random.default_rng(8), 3, 16)

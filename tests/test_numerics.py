@@ -59,16 +59,19 @@ class TestForward:
     def test_conv1d_matches_direct_convolution(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8))
-        w = rng.standard_normal((4, 3, 3))
-        out = nm.conv1d(Tensor(x), Tensor(w), stride=2, padding=1)
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-        l_out = (8 + 2 - 3) // 2 + 1
-        ref = np.zeros((2, 4, l_out))
-        for b in range(2):
-            for co in range(4):
-                for l in range(l_out):
-                    ref[b, co, l] = np.sum(xp[b, :, 2 * l : 2 * l + 3] * w[co])
-        np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
+        # (c_out, kernel, stride, padding): strided, stride above kernel, one output channel
+        for c_out, kernel, stride, padding in [(4, 3, 2, 1), (4, 2, 3, 0), (1, 3, 1, 1)]:
+            w = rng.standard_normal((c_out, 3, kernel))
+            out = nm.conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+            l_out = (8 + 2 * padding - kernel) // stride + 1
+            ref = np.zeros((2, c_out, l_out))
+            for b in range(2):
+                for co in range(c_out):
+                    for l in range(l_out):
+                        ref[b, co, l] = np.sum(xp[b, :, stride * l : stride * l + kernel] * w[co])
+            np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
+            assert out.data.flags.c_contiguous
 
 
 class TestBackward:
@@ -141,6 +144,15 @@ PRIMITIVE_CASES = {
     "matmul": (("a", "b"), lambda p: nm.reduce_sum(nm.matmul(p["a"], p["b"]))),
     "conv1d": (("x3", "k"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], stride=1, padding=1))),
     "conv1d_strided": (("x3", "k"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], stride=2, padding=2))),
+    # windows [0, 2), [3, 5), [6, 8): inputs 2, 5 and 8 feed no output
+    "conv1d_stride_exceeds_kernel": (
+        ("x9", "k2"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k2"], stride=3, padding=0))),
+    ),
+    "conv1d_one_output_channel": (
+        ("x3", "k_out1"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k_out1"], stride=1, padding=1))),
+    ),
     "add": (("a", "row"), lambda p: nm.reduce_sum(nm.add(p["a"], p["row"]))),
     "sub": (("a", "row"), lambda p: nm.reduce_sum(nm.sub(p["a"], p["row"]))),
     "mul": (("a", "row"), lambda p: nm.reduce_sum(nm.mul(p["a"], p["row"]))),
@@ -164,6 +176,9 @@ PRIMITIVE_SHAPES = {
     "b": (4, 2),
     "x3": (2, 2, 6),
     "k": (3, 2, 3),
+    "x9": (2, 2, 9),
+    "k2": (3, 2, 2),
+    "k_out1": (1, 2, 3),
 }
 
 
@@ -176,6 +191,43 @@ def test_primitive_gradients_at_100_random_points(name):
         point = {k: _param(rng, PRIMITIVE_SHAPES[k]) for k in keys}
         worst = max(worst, nm.grad_check(fn, point, step=1e-5))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("frozen", ["x", "w"])
+def test_conv1d_gradients_with_one_input_frozen(frozen):
+    def fn(p):
+        return nm.reduce_sum(nm.square(nm.conv1d(p["x"], p["w"], stride=2, padding=1)))
+
+    worst = 0.0
+    for trial in range(100):
+        rng = np.random.default_rng(2000 + trial)
+        point = {"x": _param(rng, (2, 2, 6)), "w": _param(rng, (3, 2, 3))}
+        point[frozen].requires_grad = False
+        worst = max(worst, nm.grad_check(fn, point, step=1e-5))
+        assert point[frozen].grad is None
+    assert worst < 1e-4
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_bit_identical_to_where(self, dtype, slope):
+        rng = np.random.default_rng(21)
+        x = np.concatenate([[0.0, -0.0, 0.0, -0.0], rng.standard_normal(60)]).astype(dtype)
+        g = np.concatenate([[1.0, -1.0, 0.0, -0.0], rng.standard_normal(60)]).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        out = nm.leaky_relu(t, slope=slope)
+        nm.backward(nm.reduce_sum(nm.mul(out, Tensor(g))))
+        ref_out = np.where(x >= 0, x, slope * x)
+        ref_grad = np.where(x >= 0, g, slope * g)
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert t.grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("slope", [1.5, -0.1])
+    def test_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            nm.leaky_relu(Tensor([1.0, -1.0]), slope=slope)
 
 
 class TestGradCheck:
