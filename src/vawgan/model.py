@@ -50,8 +50,8 @@ class NetworkConfig:
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")
             if min(factors, default=1) < 1:
                 raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
-        if self.kernel_size < 1:
-            raise DataError(f"kernel_size must be >= 1, got {self.kernel_size}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # even: padding k // 2 lengthens
+            raise DataError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise DataError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
         if self.dim % self._upsample_product != 0:
@@ -153,8 +153,8 @@ class LatentBatch:
 
 
 def _init_tensor(rng: RngState, shape, fan_in: int, dtype) -> Tensor:
-    scale = np.sqrt(2.0 / max(fan_in, 1))
-    return Tensor(scale * rng.standard_normal(shape, dtype=dtype), requires_grad=True)
+    w = np.sqrt(2.0 / max(fan_in, 1)) * rng.standard_normal(shape, dtype=dtype)
+    return Tensor(w.astype(dtype, copy=False), requires_grad=True)  # the scale is float64
 
 
 def _zeros(shape, dtype) -> Tensor:
@@ -213,6 +213,7 @@ def init_critic(
 def init_model(
     config: NetworkConfig, rng: RngState, clip_bound: float = 0.01, dtype=np.float32
 ) -> ModelParams:
+    """All three networks, drawn in order from ``rng``; every parameter has exactly ``dtype``."""
     return ModelParams(
         encoder=init_encoder(config, rng, dtype),
         generator=init_generator(config, rng, dtype),

@@ -11,7 +11,8 @@ the feature axis (im2col, one matmul, activations kept as (batch,
 channels, length)), elementwise add/sub/mul, branch-free leaky-ReLU,
 tanh, exp, log, square, clip, reduce-sum/mean, broadcast, concat,
 reshape. Tests verify each against finite differences at 64-bit
-precision; training may run at 32-bit.
+precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
+takes the tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
 
 All primitives are pure: inputs are never mutated, and identical inputs
 give bitwise-identical outputs on one platform. Backward closures re-read
@@ -97,8 +98,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # primitives
 
 
+def _operands(a, b):
+    """Both operands as tensors; a Python or NumPy scalar takes the other's dtype."""
+    if np.isscalar(a):
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    a = as_tensor(a)
+    return a, Tensor(np.asarray(b, dtype=a.data.dtype)) if np.isscalar(b) else as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -114,7 +124,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data - b.data
     except ValueError as exc:
@@ -130,7 +140,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data * b.data
     except ValueError as exc:

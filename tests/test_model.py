@@ -3,6 +3,7 @@ import pytest
 
 from vawgan import model as md
 from vawgan import numerics as nm
+from vawgan import objectives as O
 from vawgan.errors import DataError, NumericError, ShapeError, UnknownSpeakerError
 from vawgan.model import NetworkConfig
 from vawgan.numerics import RngState, Tensor
@@ -218,10 +219,14 @@ class TestConfigValidation:
             ({"critic_strides": (1, 2, 0)}, "strides"),
             ({"generator_upsamples": (0, 2, 2)}, "upsample"),
             ({"kernel_size": 0}, "kernel_size"),
+            ({"kernel_size": 2}, "kernel_size"),
             ({"leaky_slope": 1.5}, "leaky_slope"),
             ({"leaky_slope": -0.1}, "leaky_slope"),
         ],
-        ids=["encoder-stride", "critic-stride", "upsample", "kernel", "slope-high", "slope-low"],
+        ids=[
+            "encoder-stride", "critic-stride", "upsample", "kernel", "kernel-even",
+            "slope-high", "slope-low",
+        ],
     )
     def test_out_of_range_setting_rejected(self, knob, match):
         with pytest.raises(DataError, match=match):
@@ -236,3 +241,22 @@ class TestConfigValidation:
         s1 = md.criticize(x, params.critic).data
         s2 = md.criticize(x, params.critic).data
         assert np.array_equal(s1, s2)
+
+
+class TestFloat32:
+    def test_float32_model_stays_float32_forward_and_backward(self):
+        config = NetworkConfig(dim=24)
+        params = md.init_model(config, RngState(seed=3), dtype=np.float32)
+        named = params.named_parameters()
+        assert {t.data.dtype for t in named.values()} == {np.dtype(np.float32)}
+        x = _frames(np.random.default_rng(1), 5, 24).astype(np.float32)
+        mu, log_var = md.encode(x, params.encoder)
+        z = md.reparameterize(mu, log_var, RngState(seed=4)).z
+        outs = [mu, log_var, z, md.criticize(x, params.critic)]
+        outs += [md.generate(z, s, params.generator) for s in (0, 1)]
+        kl, recon = O.kl_loss(mu, log_var), O.recon_loss(x, outs[-1])
+        for t in outs + [kl, recon]:
+            assert t.data.dtype == np.float32, t.op
+        nm.backward(nm.add(nm.add(kl, recon), nm.reduce_mean(outs[3])))
+        for name, t in named.items():
+            assert t.grad is not None and t.grad.dtype == np.float32, name

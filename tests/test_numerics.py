@@ -230,6 +230,24 @@ class TestLeakyRelu:
             nm.leaky_relu(Tensor([1.0, -1.0]), slope=slope)
 
 
+class TestScalarOperands:
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("scalar", [0.3, np.float64(0.3)], ids=["python", "numpy"])
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_takes_the_tensor_dtype(self, op, scalar, left, dtype):
+        x = np.random.default_rng(5).standard_normal((2, 3)).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        out = getattr(nm, op)(*((scalar, t) if left else (t, scalar)))
+        nm.backward(nm.reduce_sum(out))
+        s = dtype(scalar)
+        ref = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](
+            *((s, x) if left else (x, s))
+        )
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == ref.tobytes()
+
+
 class TestGradCheck:
     def test_linear_function_is_exact(self):
         rng = np.random.default_rng(2)

@@ -112,3 +112,25 @@ class TestJointStep:
         for name in p0:
             assert np.array_equal(p0[name].data, p1[name].data), name
             assert np.array_equal(s0[name], s1[name]), name
+
+    def test_float32_model_stays_float32(self, frames, monkeypatch):
+        grad_dtypes = []
+        original = tr.rmsprop_update
+
+        def checked(p, state):
+            grads = [t.grad for t in p.named_parameters().values() if t.grad is not None]
+            grad_dtypes.extend(g.dtype for g in grads)
+            original(p, state)
+
+        monkeypatch.setattr(tr, "rmsprop_update", checked)
+        params, state = _params(), {}
+        tr.joint_step(params, frames, 0, 1, SMALL, RngState(6), state)
+        named = params.named_parameters()
+        vae = len(params.encoder.tensors) + len(params.generator.tensors)
+        assert len(grad_dtypes) == tr.N_CRITIC * len(params.critic.tensors) + vae
+        assert set(grad_dtypes) == {np.dtype(np.float32)}
+        assert state.keys() == named.keys()
+        for name, t in named.items():
+            assert t.data.dtype == state[name].dtype == np.float32, name
+        bound = params.critic.clip_bound
+        assert all(np.abs(t.data).max() <= bound for t in params.critic.tensors.values())
