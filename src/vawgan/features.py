@@ -165,7 +165,6 @@ class SyntheticSpec:
     noise_scale: float = 0.05
     silence_fraction: float = 0.0
     max_condition: float = 50.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_speakers < 2:
@@ -197,10 +196,8 @@ class GroundTruth:
         return self.maps[speaker_id] @ self.prototypes[cluster] + self.biases[speaker_id]
 
 
-def generate_synthetic(spec: SyntheticSpec, rng: RngState | None = None):
+def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     """Render a corpus from the spec; returns (list of FrameMatrix, GroundTruth)."""
-    if rng is None:
-        rng = RngState(seed=spec.seed)
     d, k = spec.dim, spec.num_clusters
 
     prototypes = spec.cluster_spread * rng.standard_normal((k, d))

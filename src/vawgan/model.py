@@ -44,16 +44,23 @@ class NetworkConfig:
     logvar_bound: float = 14.0
 
     def __post_init__(self):
+        for name in ("dim", "z_dim", "embedding_dim", "num_speakers"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         for net, step in (("encoder", "strides"), ("generator", "upsamples"), ("critic", "strides")):
             channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
             if len(channels) != len(factors):
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")
             if min(factors, default=1) < 1:
                 raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
+            if min(channels, default=1) < 1:
+                raise DataError(f"{net}_channels must all be >= 1, got {channels}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # even: padding k // 2 lengthens
             raise DataError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise DataError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
+        if not self.logvar_bound >= 0:  # negated comparison so that NaN is rejected too
+            raise DataError(f"logvar_bound must be non-negative, got {self.logvar_bound}")
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
@@ -113,6 +120,10 @@ class CriticParams:
     tensors: dict[str, Tensor]
     clip_bound: float = 0.01
 
+    def __post_init__(self):
+        if not self.clip_bound > 0:  # negated comparison so that NaN is rejected too
+            raise DataError(f"clip_bound must be positive, got {self.clip_bound}")
+
 
 @dataclass
 class ModelParams:
@@ -131,19 +142,16 @@ class ModelParams:
         for t in self.named_parameters().values():
             t.zero_grad()
 
-    def set_requires_grad(self, encoder=None, generator=None, critic=None):
+    def set_requires_grad(self, encoder: bool, generator: bool, critic: bool):
         for flag, (_, group) in zip((encoder, generator, critic), self._groups()):
-            if flag is not None:
-                for t in group.values():
-                    t.requires_grad = flag
+            for t in group.values():
+                t.requires_grad = flag
 
 
 @dataclass
 class LatentBatch:
-    """Per-frame posterior statistics and the drawn sample."""
+    """The drawn latent sample and the standard-normal noise it was drawn with."""
 
-    mu: Tensor
-    log_var: Tensor
     z: Tensor
     eps: np.ndarray
 
@@ -273,7 +281,7 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
         eps = np.asarray(eps, dtype=mu.data.dtype)
     std = nm.exp(nm.mul(log_var, 0.5))
     z = nm.add(mu, nm.mul(std, Tensor(eps)))
-    return LatentBatch(mu=mu, log_var=log_var, z=z, eps=eps)
+    return LatentBatch(z=z, eps=eps)
 
 
 def _upsample(h: Tensor, factor: int) -> Tensor:

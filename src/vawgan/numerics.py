@@ -13,6 +13,8 @@ tanh, exp, log, square, clip, reduce-sum/mean, broadcast, concat,
 reshape. Tests verify each against finite differences at 64-bit
 precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
 takes the tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
+add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
+log, square, clip and the two reductions share one one-input helper, ``_unary``.
 
 All primitives are pure: inputs are never mutated, and identical inputs
 give bitwise-identical outputs on one platform. Backward closures re-read
@@ -22,6 +24,7 @@ do not mutate a tensor between its forward use and ``backward``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,61 +101,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # primitives
 
 
-def _operands(a, b):
-    """Both operands as tensors; a Python or NumPy scalar takes the other's dtype."""
+def _broadcasting(op: str, fn, a, b, grad_a, grad_b) -> Tensor:
+    """``fn(a, b)`` under NumPy broadcasting; a Python or NumPy scalar operand takes
+    the other operand's dtype. ``grad_a(g, b)`` and ``grad_b(g, a)`` give each
+    operand's gradient before the broadcast axes are summed away."""
     if np.isscalar(a):
         b = as_tensor(b)
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
-    a = as_tensor(a)
-    return a, Tensor(np.asarray(b, dtype=a.data.dtype)) if np.isscalar(b) else as_tensor(b)
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    else:
+        a = as_tensor(a)
+        b = Tensor(np.asarray(b, dtype=a.data.dtype)) if np.isscalar(b) else as_tensor(b)
+    try:
+        data = fn(a.data, b.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
+
+    def backward_fn(g):
+        return (
+            _unbroadcast(grad_a(g, b.data), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g, a.data), b.shape) if b.requires_grad else None,
+        )
+
+    return _result(data, (a, b), backward_fn, op)
 
 
 def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
-
-    return _result(data, (a, b), backward_fn, "add")
+    return _broadcasting("add", operator.add, a, b, lambda g, _: g, lambda g, _: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from exc
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _result(data, (a, b), backward_fn, "sub")
+    return _broadcasting("sub", operator.sub, a, b, lambda g, _: g, lambda g, _: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _result(data, (a, b), backward_fn, "mul")
+    return _broadcasting("mul", operator.mul, a, b, operator.mul, operator.mul)
 
 
 def matmul(a, b) -> Tensor:
@@ -234,44 +216,27 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return _result(data, (x,), backward_fn, "leaky_relu")
 
 
-def tanh(x) -> Tensor:
+def _unary(op: str, x, fn, grad_fn) -> Tensor:
+    """One-input primitive y = fn(x); ``grad_fn(g, x, y)`` maps y's gradient to x's."""
     x = as_tensor(x)
-    data = np.tanh(x.data)
+    data = fn(x.data)
+    return _result(data, (x,), lambda g: (grad_fn(g, x.data, data),), op)
 
-    def backward_fn(g):
-        return (g * (1.0 - data * data),)
 
-    return _result(data, (x,), backward_fn, "tanh")
+def tanh(x) -> Tensor:
+    return _unary("tanh", x, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def exp(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.exp(x.data)
-
-    def backward_fn(g):
-        return (g * data,)
-
-    return _result(data, (x,), backward_fn, "exp")
+    return _unary("exp", x, np.exp, lambda g, x, y: g * y)
 
 
 def log(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.log(x.data)
-
-    def backward_fn(g):
-        return (g / x.data,)
-
-    return _result(data, (x,), backward_fn, "log")
+    return _unary("log", x, np.log, lambda g, x, y: g / x)
 
 
 def square(x) -> Tensor:
-    x = as_tensor(x)
-    data = x.data * x.data
-
-    def backward_fn(g):
-        return (2.0 * g * x.data,)
-
-    return _result(data, (x,), backward_fn, "square")
+    return _unary("square", x, lambda v: v * v, lambda g, x, y: 2.0 * g * x)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -280,43 +245,28 @@ def clip(x, lo: float, hi: float) -> Tensor:
     if lo > hi:
         raise ShapeError(f"clip: lo {lo} exceeds hi {hi}")
     inside = (x.data >= lo) & (x.data <= hi)
-    data = np.clip(x.data, lo, hi)
-
-    def backward_fn(g):
-        return (np.where(inside, g, 0.0),)
-
-    return _result(data, (x,), backward_fn, "clip")
+    return _unary(
+        "clip", x, lambda v: np.clip(v, lo, hi), lambda g, x, y: np.where(inside, g, 0.0)
+    )
 
 
-def _restore_axes(g, axis, in_shape, keepdims):
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(in_shape)), in_shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(a % len(in_shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, in_shape)
+def _restore_axes(g, axis, x):
+    """A reduction's output gradient spread back over the reduced input ``x``."""
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        return (_restore_axes(g, axis, x.shape, keepdims),)
-
-    return _result(data, (x,), backward_fn, "reduce_sum")
+def reduce_sum(x, axis=None) -> Tensor:
+    return _unary(
+        "reduce_sum", x, lambda v: v.sum(axis=axis), lambda g, x, y: _restore_axes(g, axis, x)
+    )
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size / max(data.size, 1)
-
-    def backward_fn(g):
-        return (_restore_axes(g, axis, x.shape, keepdims) / count,)
-
-    return _result(data, (x,), backward_fn, "reduce_mean")
+def reduce_mean(x, axis=None) -> Tensor:
+    """Mean over ``axis``; each mean's gradient is spread over its x.size / y.size inputs."""
+    return _unary(
+        "reduce_mean", x, lambda v: v.mean(axis=axis),
+        lambda g, x, y: _restore_axes(g, axis, x) / (x.size / max(y.size, 1)),
+    )
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -411,15 +361,17 @@ def backward(output: Tensor):
             pending[key] = pg if key not in pending else pending[key] + pg
 
 
-def grad_check(fn, point: dict, step: float = 1e-5) -> float:
+_GRAD_CHECK_STEP = 1e-5
+
+
+def grad_check(fn, point: dict) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``fn`` maps the named tensors in ``point`` to a scalar Tensor and must be
     deterministic (draw any randomness outside and pass it in as constants).
-    Error metric per element: |analytic - numeric| / max(1, |analytic|).
+    Error metric per element: |analytic - numeric| / max(1, |analytic|), with
+    central differences of step ``_GRAD_CHECK_STEP``.
     """
-    if step <= 0:
-        raise ValueError(f"grad_check: step must be positive, got {step}")
     for t in point.values():
         t.zero_grad()
     out = fn(point)
@@ -436,12 +388,12 @@ def grad_check(fn, point: dict, step: float = 1e-5) -> float:
         flat_grad = analytic.reshape(-1)
         for i in range(flat_data.size):
             saved = flat_data[i]
-            flat_data[i] = saved + step
+            flat_data[i] = saved + _GRAD_CHECK_STEP
             f_plus = float(fn(point).data)
-            flat_data[i] = saved - step
+            flat_data[i] = saved - _GRAD_CHECK_STEP
             f_minus = float(fn(point).data)
             flat_data[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * _GRAD_CHECK_STEP)
             a = float(flat_grad[i])
             worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
     return worst

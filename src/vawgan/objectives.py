@@ -54,38 +54,17 @@ def wgan_objective(real_scores, fake_scores) -> Tensor:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Component record of one training step's objectives."""
+    """Component record of one training step's objectives.
+
+    ``alpha`` weights the Wasserstein term: 0 in the warm-up, and
+    `training.TrainConfig.alpha` in the joint phase.
+    """
 
     j_lat: float
     j_obs: float
     j_wgan: float
-    total: float
     alpha: float
 
     @property
-    def encoder_objective(self) -> float:
-        return self.j_obs + self.j_lat
-
-    @property
-    def generator_objective(self) -> float:
-        return self.j_obs + self.alpha * self.j_wgan
-
-    @property
-    def critic_objective(self) -> float:
-        return self.j_wgan
-
-
-def vawgan_total(j_lat: float, j_obs: float, j_wgan: float, alpha: float) -> LossBreakdown:
-    """Combine components; alpha weights the Wasserstein term.
-
-    With alpha = 0 the generator objective reduces to plain
-    reconstruction (the warm-up baseline); the default joint-phase
-    weight is `training.TrainConfig.alpha`.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    total = j_obs + j_lat + alpha * j_wgan
-    return LossBreakdown(
-        j_lat=float(j_lat), j_obs=float(j_obs), j_wgan=float(j_wgan),
-        total=float(total), alpha=float(alpha),
-    )
+    def total(self) -> float:
+        return self.j_obs + self.j_lat + self.alpha * self.j_wgan

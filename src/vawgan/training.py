@@ -6,7 +6,7 @@ and the critic is not touched. Phase 2, ``joint_step``, follows WGAN
 Algorithm 1 (Arjovsky et al. 2017): ``N_CRITIC`` weight-clipped critic
 updates that ascend the Wasserstein gap between real target frames and
 source frames converted to the target, then one encoder + generator
-update on the per-network objectives of ``objectives.LossBreakdown``.
+update: the encoder minimizes recon + KL, the generator recon + alpha * W.
 
 Every parameter update is RMSProp. A step draws every batch index and
 every reparameterization draw from the ``RngState`` it is given, so a
@@ -57,9 +57,9 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        # negated comparison so that NaN is rejected too
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        # chained comparison, so that NaN and infinity are rejected too
+        if not 0 <= self.alpha < float("inf"):
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
@@ -125,7 +125,7 @@ def warmup_step(
     params.zero_grad()
     nm.backward(nm.add(j_obs, j_lat))
     rmsprop_update(params, mean_square)
-    return O.vawgan_total(j_lat.item(), j_obs.item(), 0.0, alpha=0.0)
+    return O.LossBreakdown(j_lat.item(), j_obs.item(), 0.0, 0.0)
 
 
 def critic_step(
@@ -180,4 +180,4 @@ def joint_step(
     params.zero_grad()
     nm.backward(nm.add(nm.add(j_obs, j_lat), nm.mul(gap, config.alpha)))
     rmsprop_update(params, mean_square)
-    return O.vawgan_total(j_lat.item(), j_obs.item(), gap.item(), config.alpha)
+    return O.LossBreakdown(j_lat.item(), j_obs.item(), gap.item(), float(config.alpha))

@@ -60,7 +60,7 @@ class TestEncoder:
             proj = nm.add(nm.mul(mu, Tensor(w_mu)), nm.mul(log_var, Tensor(w_lv)))
             return nm.reduce_sum(proj)
 
-        assert nm.grad_check(fn, params.tensors, step=1e-5) < 1e-4
+        assert nm.grad_check(fn, params.tensors) < 1e-4
 
     def test_logvar_head_is_clamped(self):
         params = md.init_encoder(CHECK_CONFIG, RngState(seed=2), dtype=np.float64)
@@ -71,7 +71,7 @@ class TestEncoder:
     def test_non_finite_activation_reports_layer(self):
         params = md.init_encoder(CHECK_CONFIG, RngState(seed=3), dtype=np.float64)
         params.tensors["conv1.w"].data[:] = np.inf
-        with pytest.raises(NumericError, match="encoder conv layer 1"):
+        with pytest.raises(NumericError, match="encoder conv layer 1"), np.errstate(invalid="ignore"):
             md.encode(np.ones((2, 16)), params)
 
     def test_rejects_wrong_width(self):
@@ -156,7 +156,7 @@ class TestGenerator:
             out = md.generate(z, 0, md.GeneratorParams(CHECK_CONFIG, point))
             return nm.reduce_sum(nm.mul(out, Tensor(proj)))
 
-        assert nm.grad_check(fn, params.tensors, step=1e-5) < 1e-4
+        assert nm.grad_check(fn, params.tensors) < 1e-4
 
     def test_unknown_speaker_rejected(self):
         params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
@@ -194,7 +194,12 @@ class TestCritic:
             scores = md.criticize(x, md.CriticParams(CHECK_CONFIG, point))
             return nm.reduce_mean(scores)
 
-        assert nm.grad_check(fn, params.tensors, step=1e-5) < 1e-4
+        assert nm.grad_check(fn, params.tensors) < 1e-4
+
+    @pytest.mark.parametrize("bound", [0.0, -0.01, float("nan")])
+    def test_rejects_bad_clip_bound(self, bound):
+        with pytest.raises(DataError, match="clip_bound"):
+            md.init_model(CHECK_CONFIG, RngState(seed=0), clip_bound=bound)
 
     def test_scores_are_unbounded_reals(self):
         params = md.init_critic(CHECK_CONFIG, RngState(seed=2), dtype=np.float64)
@@ -222,15 +227,27 @@ class TestConfigValidation:
             ({"kernel_size": 2}, "kernel_size"),
             ({"leaky_slope": 1.5}, "leaky_slope"),
             ({"leaky_slope": -0.1}, "leaky_slope"),
+            ({"dim": 0}, "dim"),
+            ({"dim": -8}, "dim"),
+            ({"z_dim": 0}, "z_dim"),
+            ({"embedding_dim": 0}, "embedding_dim"),
+            ({"num_speakers": 0}, "num_speakers"),
+            ({"encoder_channels": (8, 0, 8)}, "encoder_channels"),
+            ({"generator_channels": (0, 8, 8)}, "generator_channels"),
+            ({"critic_channels": (8, 0, 8)}, "critic_channels"),
+            ({"logvar_bound": -1.0}, "logvar_bound"),
+            ({"logvar_bound": float("nan")}, "logvar_bound"),
         ],
         ids=[
             "encoder-stride", "critic-stride", "upsample", "kernel", "kernel-even",
-            "slope-high", "slope-low",
+            "slope-high", "slope-low", "dim-zero", "dim-negative", "z-dim", "embedding-dim",
+            "speakers", "encoder-width", "generator-width", "critic-width", "logvar-negative",
+            "logvar-nan",
         ],
     )
     def test_out_of_range_setting_rejected(self, knob, match):
         with pytest.raises(DataError, match=match):
-            NetworkConfig(dim=8, **knob)
+            NetworkConfig(**{"dim": 8, **knob})
 
     def test_purity_of_forward_passes(self):
         params = md.init_model(CHECK_CONFIG, RngState(seed=5), dtype=np.float64)

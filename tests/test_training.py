@@ -39,6 +39,7 @@ class TestTrainConfig:
             {"alpha": -0.1},
             {"alpha": float("nan")},
             {"batch_size": 0},
+            {"alpha": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, bad):
