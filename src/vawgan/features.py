@@ -77,6 +77,8 @@ class NormStats:
         self.maxs = np.asarray(self.maxs, dtype=np.float32)
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise DataError("mins and maxs must be equal-length vectors")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise DataError("mins and maxs must be finite")
         if np.any(self.maxs < self.mins):
             raise DataError("per-dimension max must be >= min")
 
@@ -99,7 +101,12 @@ def fit_normalizer(corpus: list[FrameMatrix]) -> NormStats:
         if fm.dim != dim:
             raise DimMismatchError(f"corpus dims disagree: {dim} vs {fm.dim}")
     stacked = np.concatenate([fm.frames for fm in corpus], axis=0)
-    return NormStats(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
+    mins, maxs = stacked.min(axis=0), stacked.max(axis=0)
+    # NaN and +-inf propagate into the extremes, so checking them checks every frame
+    bad = ~(np.isfinite(mins) & np.isfinite(maxs))
+    if bad.any():
+        raise DataError(f"corpus holds non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
+    return NormStats(mins=mins, maxs=maxs)
 
 
 def normalize(x: FrameMatrix, s: NormStats) -> FrameMatrix:

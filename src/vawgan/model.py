@@ -16,6 +16,7 @@ CPU training, not a reproduction of any particular architecture.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +240,10 @@ def _ensure_finite(t: Tensor, where: str):
 
 
 def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str):
-    h = nm.conv1d(h, tensors[f"conv{idx}.w"], stride=stride, padding=config.padding)
-    h = nm.add(h, tensors[f"conv{idx}.b"])
+    h = nm.conv1d(
+        h, tensors[f"conv{idx}.w"], stride=stride, padding=config.padding,
+        bias=tensors[f"conv{idx}.b"],
+    )
     h = nm.leaky_relu(h, slope=config.leaky_slope)
     _ensure_finite(h, f"{net} conv layer {idx}")
     return h
@@ -285,11 +288,17 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
 
 
 def _upsample(h: Tensor, factor: int) -> Tensor:
+    """Nearest-neighbour upsampling: each position repeated ``factor`` times.
+
+    Concatenating ``factor`` copies along a new trailing axis gives a
+    contiguous array, so the final reshape is a view; backward splits the
+    gradient into ``factor`` views, which the engine adds in order.
+    """
     if factor == 1:
         return h
     b, c, length = h.shape
     h = nm.reshape(h, (b, c, length, 1))
-    h = nm.broadcast_to(h, (b, c, length, factor))
+    h = nm.concat([h] * factor, axis=3)
     return nm.reshape(h, (b, c, length * factor))
 
 
@@ -300,6 +309,10 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     if z.data.ndim != 2 or z.shape[1] != cfg.z_dim:
         raise ShapeError(f"generate: expected (batch, {cfg.z_dim}) latents, got {z.shape}")
     n_speakers = params.num_speakers
+    try:
+        speaker_id = operator.index(speaker_id)  # NumPy integers pass, 1.5 does not
+    except TypeError:
+        raise UnknownSpeakerError(f"speaker id must be an integer, got {speaker_id!r}") from None
     if not 0 <= speaker_id < n_speakers:
         raise UnknownSpeakerError(
             f"speaker id {speaker_id} outside embedding table of size {n_speakers}"
@@ -319,8 +332,9 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     h = nm.reshape(h, (batch, cfg._generator_seed_width, cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
         h = _conv_block(_upsample(h, factor), params.tensors, i, 1, cfg, "generator")
-    h = nm.conv1d(h, params.tensors["out.w"], stride=1, padding=cfg.padding)
-    h = nm.add(h, params.tensors["out.b"])
+    h = nm.conv1d(
+        h, params.tensors["out.w"], stride=1, padding=cfg.padding, bias=params.tensors["out.b"]
+    )
     h = nm.tanh(h)
     return nm.reshape(h, (batch, cfg.dim))
 

@@ -8,10 +8,12 @@ finite differences element by element.
 
 The primitive set is deliberately small: matmul, 1-D convolution along
 the feature axis (im2col, one matmul, activations kept as (batch,
-channels, length)), elementwise add/sub/mul, branch-free leaky-ReLU,
-tanh, exp, log, square, clip, reduce-sum/mean, broadcast, concat,
-reshape. Tests verify each against finite differences at 64-bit
-precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
+channels, length), an optional per-channel bias added in place, and an
+input gradient computed as a transposed convolution: im2col of the
+stride-spread output gradient with the taps reversed, then one matmul),
+elementwise add/sub/mul, branch-free leaky-ReLU, tanh, exp, log, square,
+clip, reduce-sum/mean, broadcast, concat, reshape. Tests verify each
+against finite differences at 64-bit precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
 takes the tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
 add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
 log, square, clip and the two reductions share one one-input helper, ``_unary``.
@@ -152,13 +154,19 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), backward_fn, "matmul")
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution along the last (feature) axis.
+def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """1-D convolution along the last (feature) axis, plus an optional bias.
 
-    x: (batch, in_channels, length), w: (out_channels, in_channels, kernel).
-    Zero padding; output length (L + 2p - K) // stride + 1. im2col: one matmul
-    gives a C-contiguous result in the promoted dtype of x and w, as matmul
-    does. The tape keeps ``x``, not the columns, and backward rebuilds them
+    x: (batch, in_channels, length), w: (out_channels, in_channels, kernel),
+    bias: (out_channels, 1). Zero padding; output length
+    (L + 2p - K) // stride + 1. im2col: one matmul gives a C-contiguous result
+    in the promoted dtype of x and w, as matmul does, and the bias is added to
+    it in place, bit for bit what ``add(conv1d(x, w), bias)`` gives.
+
+    Backward: the input gradient is a transposed convolution (Dumoulin &
+    Visin 2016, arXiv:1603.07285): g spread at the stride into a zero buffer,
+    then im2col with the taps reversed and one matmul with the transposed
+    kernel. The tape keeps ``x``, not the columns, and backward rebuilds them
     from ``x.data``: do not mutate ``x`` before ``backward``.
     """
     x, w = as_tensor(x), as_tensor(w)
@@ -173,34 +181,58 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     l_out = (length + 2 * padding - kernel) // stride + 1
     if l_out < 1:
         raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {length}")
+    parents = (x, w)
+    if bias is not None:
+        b = as_tensor(bias)
+        if b.shape != (c_out, 1):
+            raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
+        parents = (x, w, b)
 
     def columns():  # im2col: the windows of the padded input as (B, Cin * K, Lout)
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
         windows = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]  # (B, Cin, Lout, K)
         return windows.transpose(0, 1, 3, 2).reshape(batch, c_in * kernel, l_out)
 
-    w2 = w.data.reshape(c_out, c_in * kernel)
-    data = w2 @ columns()
+    data = w.data.reshape(c_out, c_in * kernel) @ columns()
+    if bias is not None:
+        if np.result_type(data, b.data) == data.dtype:
+            data += b.data
+        else:
+            data = data + b.data
+
+    def input_grad(g):
+        # g[..., j] lands at j * stride + K - 1 - padding of a zero buffer of length
+        # L + K - 1; entries that fall outside it touch no input and are dropped
+        offset = kernel - 1 - padding
+        first = -(-max(0, -offset) // stride)
+        last = min(l_out, -(-(length + padding) // stride))
+        spread = np.zeros((batch, c_out, length + kernel - 1), dtype=g.dtype)
+        if last > first:
+            start = offset + first * stride
+            spread[:, :, start : start + (last - first) * stride : stride] = g[:, :, first:last]
+        windows = sliding_window_view(spread, kernel, axis=2)[:, :, :, ::-1]  # (B, Cout, L, K)
+        cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
+        gx = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
+        return gx.astype(x.data.dtype, copy=False)
 
     def backward_fn(g):
-        gw = gx = None
-        if w.requires_grad:  # the columns are freed before gcols below is allocated
+        gx = gw = gb = None
+        if bias is not None and b.requires_grad:
+            gb = g.sum(axis=0).sum(axis=1, keepdims=True)
+        if w.requires_grad:  # the columns are freed before input_grad allocates its own
             gw = (g @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if x.requires_grad:
-            gcols = (w2.T @ g).reshape(batch, c_in, kernel, l_out)
-            gxp = np.zeros((batch, c_in, length + 2 * padding), dtype=x.data.dtype)
-            for k in range(kernel):  # col2im: scatter each tap back onto its inputs
-                gxp[:, :, k : k + stride * l_out : stride] += gcols[:, :, k]
-            gx = gxp[:, :, padding : padding + length]
-        return (gx, gw)
+            gx = input_grad(g)
+        return (gx, gw, gb)
 
-    return _result(data, (x, w), backward_fn, "conv1d")
+    return _result(data, parents, backward_fn, "conv1d")
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     """max(x, slope*x), slope in [0, 1]; at 0 the value is 0 and the subgradient is 1.
 
-    Branch-free: ``np.maximum`` forward; backward scales by [slope, 1] indexed by x >= 0.
+    Branch-free: ``np.maximum`` forward; backward scales g by max(x >= 0, slope),
+    which is exactly slope or 1.
     """
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
@@ -209,7 +241,8 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     np.maximum(x.data, data, out=data)
 
     def backward_fn(g):
-        scale = np.array([slope, 1.0], dtype=g.dtype).take((x.data >= 0).view(np.uint8))
+        scale = (x.data >= 0).astype(g.dtype)
+        np.maximum(scale, slope, out=scale)
         scale *= g
         return (scale,)
 
@@ -243,7 +276,7 @@ def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; pass-through gradient on the closed interval."""
     x = as_tensor(x)
     if lo > hi:
-        raise ShapeError(f"clip: lo {lo} exceeds hi {hi}")
+        raise ValueError(f"clip: lo {lo} exceeds hi {hi}")
     inside = (x.data >= lo) & (x.data <= hi)
     return _unary(
         "clip", x, lambda v: np.clip(v, lo, hi), lambda g, x, y: np.where(inside, g, 0.0)

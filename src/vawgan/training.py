@@ -19,6 +19,7 @@ every speaker, each reconstructed with its own embedding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -60,7 +61,11 @@ class TrainConfig:
         # chained comparison, so that NaN and infinity are rejected too
         if not 0 <= self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if self.batch_size < 1:
+        try:
+            batch_size = operator.index(self.batch_size)  # NumPy integers pass, 2.5 does not
+        except TypeError:
+            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}") from None
+        if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 

@@ -66,6 +66,16 @@ class TestNormalizer:
         with pytest.raises(DimMismatchError):
             ft.fit_normalizer([FrameMatrix(0, [[1.0]]), FrameMatrix(1, [[1.0, 2.0]])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frames(self, bad):
+        corpus = [FrameMatrix(0, [[0.0, 1.0], [0.0, 2.0]]), FrameMatrix(1, [[bad, 3.0]])]
+        with pytest.raises(DataError, match=r"non-finite values in dimensions \[0\]"):
+            ft.fit_normalizer(corpus)
+        with pytest.raises(DataError, match="finite"):
+            NormStats(mins=[bad, 0.0], maxs=[1.0, 1.0])
+        with pytest.raises(DataError, match="finite"):
+            NormStats(mins=[0.0, 0.0], maxs=[1.0, bad])
+
     def test_midpoint_maps_to_zero(self):
         stats = NormStats(mins=[0.0], maxs=[2.0])
         out = ft.normalize(FrameMatrix(0, [[1.0]]), stats)

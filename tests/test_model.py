@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,10 +160,31 @@ class TestGenerator:
 
         assert nm.grad_check(fn, params.tensors) < 1e-4
 
+    def test_gradients_match_finite_differences_with_upsample_three(self):
+        config = dataclasses.replace(CHECK_CONFIG, dim=18, generator_upsamples=(1, 3))
+        params = md.init_generator(config, RngState(seed=8), dtype=np.float64)
+        z = Tensor(np.random.default_rng(4).standard_normal((3, 6)))
+        proj = np.random.default_rng(5).standard_normal((3, 18))
+
+        def fn(point):
+            out = md.generate(z, 1, md.GeneratorParams(config, point))
+            return nm.reduce_sum(nm.mul(out, Tensor(proj)))
+
+        assert nm.grad_check(fn, params.tensors) < 1e-4
+
     def test_unknown_speaker_rejected(self):
         params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
         with pytest.raises(UnknownSpeakerError):
             md.generate(np.zeros((1, 6), dtype=np.float32), 2, params)
+
+    def test_non_integer_speaker_rejected(self):
+        params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
+        z = np.zeros((1, 6), dtype=np.float32)
+        with pytest.raises(UnknownSpeakerError, match="integer"):
+            md.generate(z, 1.5, params)
+        np.testing.assert_array_equal(
+            md.generate(z, np.int64(1), params).data, md.generate(z, 1, params).data
+        )
 
 
 class TestCritic:

@@ -153,6 +153,24 @@ PRIMITIVE_CASES = {
         ("x3", "k_out1"),
         lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k_out1"], stride=1, padding=1))),
     ),
+    "conv1d_bias": (
+        ("x3", "k", "bias"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=2, padding=1, bias=p["bias"]))),
+    ),
+    # padding 3 > kernel - 1: the first output's window lies wholly in the padding
+    "conv1d_padding_exceeds_kernel": (
+        ("x3", "k"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=1, padding=3))),
+    ),
+    "conv1d_kernel5_strided": (
+        ("x9", "k5"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k5"], stride=2, padding=2))),
+    ),
+    # windows [-1, 2), [3, 6), [7, 10): inputs 2, 6 and 10 feed no output
+    "conv1d_stride4_length11": (
+        ("x11", "k"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x11"], p["k"], stride=4, padding=1))),
+    ),
     "add": (("a", "row"), lambda p: nm.reduce_sum(nm.add(p["a"], p["row"]))),
     "sub": (("a", "row"), lambda p: nm.reduce_sum(nm.sub(p["a"], p["row"]))),
     "mul": (("a", "row"), lambda p: nm.reduce_sum(nm.mul(p["a"], p["row"]))),
@@ -179,6 +197,9 @@ PRIMITIVE_SHAPES = {
     "x9": (2, 2, 9),
     "k2": (3, 2, 2),
     "k_out1": (1, 2, 3),
+    "bias": (3, 1),
+    "k5": (3, 2, 5),
+    "x11": (2, 2, 11),
 }
 
 
@@ -206,6 +227,61 @@ def test_conv1d_gradients_with_one_input_frozen(frozen):
         worst = max(worst, nm.grad_check(fn, point))
         assert point[frozen].grad is None
     assert worst < 1e-4
+
+
+class TestConv1dBias:
+    # (dtype of x and w, dtype of the bias): a float64 bias promotes, as add does
+    @pytest.mark.parametrize(
+        "dtype,bias_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    )
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (3, 0)])
+    def test_bit_identical_to_separate_add(self, dtype, bias_dtype, stride, padding):
+        rng = np.random.default_rng(31)
+        dtypes = (dtype, dtype, bias_dtype)
+        shapes = ((4, 3, 10), (5, 3, 3), (5, 1))
+        arrays = [rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes)]
+        proj = rng.standard_normal((4, 5, (10 + 2 * padding - 3) // stride + 1)).astype(bias_dtype)
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            if fused:
+                out = nm.conv1d(x, w, stride=stride, padding=padding, bias=b)
+            else:
+                out = nm.add(nm.conv1d(x, w, stride=stride, padding=padding), b)
+            nm.backward(nm.reduce_sum(nm.mul(out, Tensor(proj))))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        assert results[0][1].dtype == dtype  # x's gradient keeps x's dtype
+        for fused, separate in zip(*results):
+            assert fused.dtype == separate.dtype
+            assert fused.shape == separate.shape
+            assert fused.tobytes() == separate.tobytes()
+
+    def test_rejects_bias_of_wrong_shape(self):
+        with pytest.raises(ShapeError, match="bias"):
+            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), bias=Tensor(np.ones(4)))
+
+
+class TestConv1dInputGradient:
+    # (kernel, stride, padding, length): stride 1 and 2, padding above kernel - 1,
+    # kernel 5 strided, stride above kernel, a kernel as long as the input, and
+    # windows that lie mostly in the padding
+    CASES = [(3, 1, 1, 8), (3, 2, 1, 8), (3, 1, 3, 6), (3, 2, 3, 7), (5, 2, 2, 9),
+             (3, 4, 1, 11), (2, 3, 0, 9), (1, 1, 0, 4), (4, 1, 0, 4), (3, 5, 4, 2)]
+
+    @pytest.mark.parametrize("kernel,stride,padding,length", CASES)
+    def test_matches_col2im_loop(self, kernel, stride, padding, length):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((2, 3, length)), requires_grad=True)
+        w = rng.standard_normal((4, 3, kernel))
+        out = nm.conv1d(x, Tensor(w), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        nm.backward(nm.reduce_sum(nm.mul(out, Tensor(g))))
+        ref = np.zeros((2, 3, length + 2 * padding))
+        for j in range(out.shape[2]):  # each output scatters its window back onto the input
+            ref[:, :, j * stride : j * stride + kernel] += np.einsum("bo,ock->bck", g[:, :, j], w)
+        np.testing.assert_allclose(x.grad, ref[:, :, padding : padding + length], atol=1e-12, rtol=0)
+        assert x.grad.flags.c_contiguous
 
 
 class TestLeakyRelu:
@@ -248,6 +324,12 @@ class TestScalarOperands:
         assert out.data.tobytes() == ref.tobytes()
         grad = {"add": 1.0, "sub": -1.0 if left else 1.0, "mul": s}[op]
         assert t.grad.tobytes() == np.full(x.shape, grad, dtype=dtype).tobytes()
+
+
+def test_clip_rejects_lo_above_hi_as_value_error():
+    with pytest.raises(ValueError, match="lo 1 exceeds hi 0") as info:
+        nm.clip(Tensor([1.0]), 1, 0)
+    assert not isinstance(info.value, ShapeError)
 
 
 class TestGradCheck:

@@ -40,11 +40,15 @@ class TestTrainConfig:
             {"alpha": float("nan")},
             {"batch_size": 0},
             {"alpha": float("inf")},
+            {"batch_size": 2.5},
         ],
     )
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+    def test_accepts_numpy_integer_batch_size(self):
+        assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
 
 
 class TestWarmupStep:
