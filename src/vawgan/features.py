@@ -12,6 +12,7 @@ computable in closed form and keeps the learning task honest to check.
 
 from __future__ import annotations
 
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +36,13 @@ FORMAT_VERSION = 1
 DEFAULT_SILENCE_THRESHOLD_DB = 30.0
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)  # NumPy integers pass, 1.5 does not
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class FrameMatrix:
     """Speaker-tagged matrix of spectral feature frames."""
@@ -47,6 +55,7 @@ class FrameMatrix:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise DataError(f"frames must be a non-empty N x D matrix, got shape {self.frames.shape}")
+        self.speaker_id = _integer("speaker_id", self.speaker_id)
         if self.speaker_id < 0:
             raise DataError(f"speaker_id must be non-negative, got {self.speaker_id}")
         if self.energy is not None:
@@ -55,6 +64,8 @@ class FrameMatrix:
                 raise DataError(
                     f"energy must have one entry per frame, got {self.energy.shape} for {self.num_frames} frames"
                 )
+            if not np.isfinite(self.energy).all():
+                raise DataError("energy holds non-finite values")
 
     @property
     def num_frames(self) -> int:
@@ -113,6 +124,10 @@ def normalize(x: FrameMatrix, s: NormStats) -> FrameMatrix:
     """Rescale each dimension to [-1, 1]; degenerate dimensions map to 0."""
     if x.dim != s.dim:
         raise DimMismatchError(f"frames have dim {x.dim}, stats have dim {s.dim}")
+    # one pass: a float64 sum of float32 values cannot overflow, so only NaN or +-inf make it non-finite
+    bad = ~np.isfinite(x.frames.sum(axis=0, dtype=np.float64))
+    if bad.any():
+        raise DataError(f"frames hold non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
     span = s.maxs - s.mins
     safe_span = np.where(span == 0, 1.0, span).astype(np.float32)
     scaled = 2.0 * ((x.frames - s.mins) / safe_span) - 1.0
@@ -174,10 +189,12 @@ class SyntheticSpec:
     max_condition: float = 50.0
 
     def __post_init__(self):
-        if self.num_speakers < 2:
-            raise DataError("need at least two speakers")
-        if self.dim < 1 or self.num_clusters < 1 or self.frames_per_speaker < 1:
-            raise DataError("dim, num_clusters and frames_per_speaker must be positive")
+        for name, low in (("num_speakers", 2), ("dim", 1), ("num_clusters", 1), ("frames_per_speaker", 1)):
+            if _integer(name, getattr(self, name)) < low:
+                raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("cluster_spread", "map_scale", "bias_scale", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < float("inf"):  # NaN fails the comparison too
+                raise DataError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.silence_fraction < 1.0:
             raise DataError("silence_fraction must lie in [0, 1)")
 

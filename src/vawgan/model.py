@@ -7,7 +7,8 @@ learned speaker embedding row and decodes back to frame space through
 upsample+conv stages ending in tanh, so outputs stay in (-1, 1). The
 critic scores frames with an unbounded real number (no sigmoid); with
 its weights clipped it is Lipschitz, and `critic_lipschitz_bound`
-certifies a constant from per-layer operator norms.
+certifies a constant from per-layer operator norms: each conv's from its
+polyphase symbol, the dense head's from its SVD.
 
 Layer counts, kernels and strides are config-driven defaults sized for
 CPU training, not a reproduction of any particular architecture.
@@ -350,34 +351,26 @@ def criticize(x, params: CriticParams) -> Tensor:
 # Lipschitz certificate
 
 
-# basis vectors per conv1d call when unrolling a conv layer: at dim 512 the
-# whole identity basis and its padded copy would take 270 MB at once, four
-# times the 67 MB matrix they produce
-_BASIS_BLOCK = 512
-
-
-def _conv_operator_matrix(w: np.ndarray, length: int, stride: int, padding: int) -> np.ndarray:
-    """Dense matrix of a conv layer at a fixed input length, built by running
-    ``nm.conv1d`` in float64 on the identity basis, one block at a time.
-
-    Rows are output positions in the (channel, position) order of conv1d's
-    contiguous output, the order the trunk flattens them in.
-    """
-    c_in = w.shape[1]
-    n = c_in * length
-    w64 = w.astype(np.float64)
-    blocks = []
-    for start in range(0, n, _BASIS_BLOCK):
-        basis = np.eye(min(_BASIS_BLOCK, n - start), n, k=start).reshape(-1, c_in, length)
-        blocks.append(nm.conv1d(basis, w64, stride=stride, padding=padding).data)
-    return np.concatenate(blocks).reshape(n, -1).T
+def _conv_operator_norm(w: np.ndarray, length: int, stride: int, padding: int) -> float:
+    """Norm of the circular conv of length n = s * ceil((L + 2p + K) / s): the largest
+    singular value, over the n / s frequencies, of the Cout x (Cin * s) polyphase symbol."""
+    c_out, c_in, kernel = w.shape
+    delays = -(-(length + 2 * padding + kernel) // stride)
+    taps = np.zeros((c_out, c_in, stride, delays))
+    j = np.arange(kernel)
+    taps[:, :, j % stride, j // stride] = w  # tap j: phase j % s, delay j // s
+    symbol = np.fft.fft(taps, axis=-1).reshape(c_out, c_in * stride, delays)
+    return float(np.linalg.svd(symbol.transpose(2, 0, 1), compute_uv=False).max())
 
 
 def critic_lipschitz_bound(params: CriticParams) -> float:
     """Certified Lipschitz constant: product of per-layer operator norms.
 
-    Convolutions are unrolled at the critic's actual signal lengths and
-    measured by spectral norm; leaky-ReLU contributes max(1, slope).
+    A zero-padded strided conv on input length L is a restriction of the
+    circular one of any length n >= L + 2p, so its norm is at most the
+    circular norm, which the polyphase symbol gives exactly (Sedghi et al.,
+    "The Singular Values of Convolutional Layers", ICLR 2019, for stride 1).
+    The dense head is measured by its SVD; leaky-ReLU contributes max(1, slope).
     """
     cfg = params.config
     bound = 1.0
@@ -385,8 +378,7 @@ def critic_lipschitz_bound(params: CriticParams) -> float:
     lengths = cfg.conv_lengths(cfg.critic_strides)
     for i, stride in enumerate(cfg.critic_strides):
         w = params.tensors[f"conv{i}.w"].data
-        mat = _conv_operator_matrix(w, lengths[i], stride, cfg.padding)
-        bound *= np.linalg.svd(mat, compute_uv=False)[0] * act
+        bound *= _conv_operator_norm(w, lengths[i], stride, cfg.padding) * act
     out_w = params.tensors["out.w"].data.astype(np.float64)
     bound *= np.linalg.svd(out_w, compute_uv=False)[0]
     return float(bound)

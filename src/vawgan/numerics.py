@@ -370,7 +370,9 @@ def _reverse_topological(root: Tensor):
 
 
 def backward(output: Tensor):
-    """Accumulate d(output)/d(t) into t.grad for every tensor that requires it.
+    """Accumulate d(output)/d(t) into t.grad for every leaf (a tensor with no
+    backward closure) that requires it; an intermediate's gradient is freed once
+    passed to its parents, and its .grad stays None.
 
     The output must be scalar (size 1). Gradients add into any existing
     .grad, so zero them between independent passes.
@@ -384,8 +386,8 @@ def backward(output: Tensor):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:

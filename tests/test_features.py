@@ -76,6 +76,14 @@ class TestNormalizer:
         with pytest.raises(DataError, match="finite"):
             NormStats(mins=[0.0, 0.0], maxs=[1.0, bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_normalize_rejects_non_finite_frames(self, bad):
+        stats = NormStats(mins=[0.0, 1.0], maxs=[2.0, 1.0])  # dimension 1 is degenerate
+        with pytest.raises(DataError, match=r"non-finite values in dimensions \[0\]"):
+            ft.normalize(FrameMatrix(0, [[1.0, 1.0], [bad, 1.0]]), stats)
+        with pytest.raises(DataError, match=r"non-finite values in dimensions \[1\]"):
+            ft.normalize(FrameMatrix(0, [[1.0, bad]]), stats)
+
     def test_midpoint_maps_to_zero(self):
         stats = NormStats(mins=[0.0], maxs=[2.0])
         out = ft.normalize(FrameMatrix(0, [[1.0]]), stats)
@@ -107,6 +115,20 @@ class TestNormalizer:
         for fm in corpus:
             back = ft.denormalize(ft.normalize(fm, stats), stats)
             np.testing.assert_allclose(back.frames, fm.frames, atol=1e-5, rtol=1e-6)
+
+
+class TestFrameMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_energy(self, bad):
+        with pytest.raises(DataError, match="energy holds non-finite"):
+            FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, bad])
+
+    def test_speaker_id_must_be_an_integer(self, tmp_path):
+        with pytest.raises(DataError, match="speaker_id must be an integer"):
+            FrameMatrix(1.5, [[1.0]])
+        fm = FrameMatrix(np.int64(3), [[1.0]])
+        ft.write_frames(fm, tmp_path / "a.vawf")
+        assert ft.read_frames(tmp_path / "a.vawf").speaker_id == 3
 
 
 class TestFilterNonsilent:
@@ -189,6 +211,22 @@ class TestSynthetic:
             assert silent.sum() == 50
             kept = ft.filter_nonsilent(fm, threshold_db=30.0)
             assert kept.num_frames == 150
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{name: value} for name in ("noise_scale", "map_scale", "bias_scale", "cluster_spread")
+         for value in (np.nan, np.inf, -0.1)]
+        + [{name: 2.5} for name in ("num_speakers", "dim", "num_clusters", "frames_per_speaker")],
+        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+    )
+    def test_rejects_bad_settings(self, setting):
+        with pytest.raises(DataError, match=next(iter(setting))):
+            SyntheticSpec(**setting)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = SyntheticSpec(dim=np.int64(4), frames_per_speaker=np.int32(6))
+        corpus, _ = ft.generate_synthetic(spec, RngState(1))
+        assert corpus[0].frames.shape == (6, 4)
 
     def test_rng_argument_controls_generation(self):
         spec = SyntheticSpec(frames_per_speaker=10, dim=4)

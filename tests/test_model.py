@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ CHECK_CONFIG = NetworkConfig(
 
 def _frames(rng, batch, dim):
     return np.tanh(rng.standard_normal((batch, dim)))
+
+
+def _dense_conv_norm(w, length, stride, padding):
+    """Oracle: spectral norm of a conv layer unrolled into its dense matrix,
+    built by running ``nm.conv1d`` in float64 on the identity basis."""
+    c_in = w.shape[1]
+    basis = np.eye(c_in * length).reshape(-1, c_in, length)
+    out = nm.conv1d(basis, w.astype(np.float64), stride=stride, padding=padding).data
+    return np.linalg.svd(out.reshape(c_in * length, -1), compute_uv=False)[0]
+
+
+def _dense_critic_bound(params):
+    cfg = params.config
+    act = max(1.0, cfg.leaky_slope)
+    lengths = cfg.conv_lengths(cfg.critic_strides)
+    bound = np.linalg.svd(params.tensors["out.w"].data.astype(np.float64), compute_uv=False)[0]
+    for i, stride in enumerate(cfg.critic_strides):
+        w = params.tensors[f"conv{i}.w"].data
+        bound *= act * _dense_conv_norm(w, lengths[i], stride, cfg.padding)
+    return bound
 
 
 class TestEncoder:
@@ -208,6 +229,23 @@ class TestCritic:
             x2 = rng.standard_normal((1, 16))
             gap = abs(md.criticize(x1, params).item() - md.criticize(x2, params).item())
             assert gap <= bound * np.linalg.norm(x1 - x2) + 1e-12
+
+    @pytest.mark.parametrize("c_in, c_out", [(1, 8), (8, 8), (3, 5)])
+    def test_polyphase_norm_bounds_dense_norm(self, c_in, c_out):
+        rng = np.random.default_rng(c_in * 10 + c_out)
+        for kernel in (1, 3, 5):
+            w = rng.standard_normal((c_out, c_in, kernel))
+            for length, stride, padding in itertools.product(
+                (5, 16, 24, 64), (1, 2, 3, 4), sorted({0, kernel // 2, kernel})
+            ):
+                dense = _dense_conv_norm(w, length, stride, padding)
+                poly = md._conv_operator_norm(w, length, stride, padding)
+                assert poly >= dense * (1 - 1e-12), (kernel, length, stride, padding)
+
+    def test_certificate_is_tight_for_the_default_critic(self):
+        params = md.init_critic(NetworkConfig(dim=128), RngState(seed=3))
+        dense = _dense_critic_bound(params)
+        assert dense <= md.critic_lipschitz_bound(params) <= dense * (1 + 1e-3)
 
     def test_gradients_match_finite_differences(self):
         params = md.init_critic(CHECK_CONFIG, RngState(seed=9), dtype=np.float64)

@@ -138,6 +138,24 @@ class TestBackward:
         nm.backward(nm.reduce_sum(nm.square(x)))
         np.testing.assert_allclose(x.grad, [8.0])
 
+    def test_grad_kept_on_leaves_only(self):
+        rng = np.random.default_rng(3)
+        leaves = x, w, b = _param(rng, (2, 2, 8)), _param(rng, (3, 2, 3)), _param(rng, (3, 1))
+
+        def loss():
+            h = nm.leaky_relu(nm.conv1d(x, w, stride=2, padding=1, bias=b))
+            return nm.reduce_mean(nm.square(nm.reshape(h, (2, 12))))
+
+        out = loss()
+        nm.backward(out)
+        tape = nm._reverse_topological(out)
+        assert {id(t) for t in tape if t._backward is None} == {id(t) for t in leaves}
+        assert all(t.grad is None for t in tape if t._backward is not None)
+        first = [t.grad.copy() for t in leaves]
+        nm.backward(loss())  # a second pass adds into the leaves' .grad
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
 
 # one small randomized configuration per primitive; grad-checked at many points
 PRIMITIVE_CASES = {
