@@ -4,7 +4,11 @@ Three families matter to callers: shape/graph misuse (ShapeError),
 bad data or files (DataError and subclasses), and numerical blow-ups
 (NumericError). Exit codes 1/2/3 are reserved for them, in that order,
 for the planned command-line interface; the package has none yet.
+``as_integer`` is the shared check that turns a non-integer setting
+into a DataError naming it.
 """
+
+import operator
 
 
 class ShapeError(ValueError):
@@ -41,3 +45,11 @@ class TruncatedFileError(FormatError):
 
 class NumericError(Exception):
     """Non-finite values encountered where finite ones are required."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int, or DataError naming ``name``; NumPy integers pass, 1.5 does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None

@@ -12,7 +12,6 @@ computable in closed form and keeps the learning task honest to check.
 
 from __future__ import annotations
 
-import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .errors import (
     DataError,
     DimMismatchError,
     TruncatedFileError,
+    as_integer,
 )
 from .numerics import RngState
 
@@ -34,13 +34,6 @@ NORM_MAGIC = b"VAWN"
 FORMAT_VERSION = 1
 
 DEFAULT_SILENCE_THRESHOLD_DB = 30.0
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)  # NumPy integers pass, 1.5 does not
-    except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -55,7 +48,7 @@ class FrameMatrix:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise DataError(f"frames must be a non-empty N x D matrix, got shape {self.frames.shape}")
-        self.speaker_id = _integer("speaker_id", self.speaker_id)
+        self.speaker_id = as_integer("speaker_id", self.speaker_id)
         if self.speaker_id < 0:
             raise DataError(f"speaker_id must be non-negative, got {self.speaker_id}")
         if self.energy is not None:
@@ -111,9 +104,10 @@ def fit_normalizer(corpus: list[FrameMatrix]) -> NormStats:
     for fm in corpus:
         if fm.dim != dim:
             raise DimMismatchError(f"corpus dims disagree: {dim} vs {fm.dim}")
-    stacked = np.concatenate([fm.frames for fm in corpus], axis=0)
-    mins, maxs = stacked.min(axis=0), stacked.max(axis=0)
-    # NaN and +-inf propagate into the extremes, so checking them checks every frame
+    # per-matrix extremes combined without stacking the corpus; NaN and +-inf
+    # propagate into them, so checking them checks every frame
+    mins = np.minimum.reduce([fm.frames.min(axis=0) for fm in corpus])
+    maxs = np.maximum.reduce([fm.frames.max(axis=0) for fm in corpus])
     bad = ~(np.isfinite(mins) & np.isfinite(maxs))
     if bad.any():
         raise DataError(f"corpus holds non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
@@ -128,10 +122,14 @@ def normalize(x: FrameMatrix, s: NormStats) -> FrameMatrix:
     bad = ~np.isfinite(x.frames.sum(axis=0, dtype=np.float64))
     if bad.any():
         raise DataError(f"frames hold non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
+    degenerate = s.degenerate
     span = s.maxs - s.mins
-    safe_span = np.where(span == 0, 1.0, span).astype(np.float32)
-    scaled = 2.0 * ((x.frames - s.mins) / safe_span) - 1.0
-    scaled = np.where(s.degenerate, np.float32(0.0), scaled).astype(np.float32)
+    span[degenerate] = 1.0
+    scaled = x.frames - s.mins  # the one fresh array; the steps below work in place
+    scaled /= span
+    scaled *= np.float32(2.0)
+    scaled -= np.float32(1.0)
+    scaled[:, degenerate] = 0.0
     return FrameMatrix(speaker_id=x.speaker_id, frames=scaled, energy=x.energy)
 
 
@@ -139,9 +137,12 @@ def denormalize(x: FrameMatrix, s: NormStats) -> FrameMatrix:
     """Exact inverse of normalize on non-degenerate dims; degenerate dims restore min."""
     if x.dim != s.dim:
         raise DimMismatchError(f"frames have dim {x.dim}, stats have dim {s.dim}")
-    span = s.maxs - s.mins
-    raw = (x.frames + 1.0) / 2.0 * span + s.mins
-    raw = np.where(s.degenerate, s.mins, raw).astype(np.float32)
+    degenerate = s.degenerate
+    raw = x.frames + np.float32(1.0)  # the one fresh array; the steps below work in place
+    raw /= np.float32(2.0)
+    raw *= s.maxs - s.mins
+    raw += s.mins
+    raw[:, degenerate] = s.mins[degenerate]
     return FrameMatrix(speaker_id=x.speaker_id, frames=raw, energy=x.energy)
 
 
@@ -153,6 +154,8 @@ def filter_nonsilent(
     Order is preserved. Without an energy vector there is nothing to
     filter on: the input is returned unchanged with a warning.
     """
+    if not 0.0 <= threshold_db < float("inf"):  # NaN fails the comparison too
+        raise DataError(f"threshold_db must be finite and non-negative, got {threshold_db}")
     if x.energy is None:
         warnings.warn("filter_nonsilent: no energy vector present, keeping all frames")
         return x
@@ -190,13 +193,16 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, low in (("num_speakers", 2), ("dim", 1), ("num_clusters", 1), ("frames_per_speaker", 1)):
-            if _integer(name, getattr(self, name)) < low:
+            if as_integer(name, getattr(self, name)) < low:
                 raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("cluster_spread", "map_scale", "bias_scale", "noise_scale"):
             if not 0.0 <= getattr(self, name) < float("inf"):  # NaN fails the comparison too
                 raise DataError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.silence_fraction < 1.0:
             raise DataError("silence_fraction must lie in [0, 1)")
+        # a condition number is >= 1, so a lower cap rejects every map; NaN would pass every map
+        if not self.max_condition >= 1.0:
+            raise DataError(f"max_condition must be at least 1, got {self.max_condition}")
 
 
 @dataclass
@@ -221,7 +227,12 @@ class GroundTruth:
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: RngState):
-    """Render a corpus from the spec; returns (list of FrameMatrix, GroundTruth)."""
+    """Render a corpus from the spec; returns (list of FrameMatrix, GroundTruth).
+
+    Every frame is one of K cluster prototypes plus noise, so each speaker's
+    K clean frames are rendered once and each frame gathers its row from
+    them; no frame goes through the D x D map on its own.
+    """
     d, k = spec.dim, spec.num_clusters
 
     prototypes = spec.cluster_spread * rng.standard_normal((k, d))
@@ -240,9 +251,10 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     n = spec.frames_per_speaker
     for m in range(spec.num_speakers):
         clusters = rng.integers(k, size=n)
-        clean = prototypes[clusters] @ maps[m].T + biases[m]
-        noise = spec.noise_scale * rng.standard_normal((n, d))
-        frames = clean + noise
+        rendered = prototypes @ maps[m].T + biases[m]  # the K clean frames of speaker m
+        frames = rng.standard_normal((n, d))
+        frames *= spec.noise_scale
+        frames += rendered[clusters]
 
         energy = rng.standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)

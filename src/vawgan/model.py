@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import DataError, NumericError, ShapeError, UnknownSpeakerError
+from .errors import DataError, NumericError, ShapeError, UnknownSpeakerError, as_integer
 from .numerics import RngState, Tensor
 
 
@@ -46,10 +46,16 @@ class NetworkConfig:
     logvar_bound: float = 14.0
 
     def __post_init__(self):
+        # frozen, so the checked Python ints are stored with object.__setattr__
+        for name in ("dim", "z_dim", "num_speakers", "embedding_dim", "kernel_size"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         for name in ("dim", "z_dim", "embedding_dim", "num_speakers"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         for net, step in (("encoder", "strides"), ("generator", "upsamples"), ("critic", "strides")):
+            for name in (f"{net}_channels", f"{net}_{step}"):
+                entries = tuple(as_integer(f"{name} entry", v) for v in getattr(self, name))
+                object.__setattr__(self, name, entries)
             channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
             if len(channels) != len(factors):
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")

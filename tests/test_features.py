@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,21 @@ def _raised(read, source):
     with pytest.raises(Exception) as info:
         read(source)
     return info.type
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation of fn() above what was live when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _random_corpus(seed=0, n=50, dim=5):
@@ -83,6 +99,33 @@ class TestNormalizer:
             ft.normalize(FrameMatrix(0, [[1.0, 1.0], [bad, 1.0]]), stats)
         with pytest.raises(DataError, match=r"non-finite values in dimensions \[1\]"):
             ft.normalize(FrameMatrix(0, [[1.0, bad]]), stats)
+
+    def test_fit_equals_extremes_of_the_stacked_corpus(self):
+        rng = np.random.default_rng(4)
+        corpus = [FrameMatrix(i, rng.normal(size=(n, 6)) * (i + 1)) for i, n in enumerate((7, 1, 30))]
+        stacked = np.concatenate([fm.frames for fm in corpus])
+        stats = ft.fit_normalizer(corpus)
+        assert stats.mins.tobytes() == stacked.min(axis=0).tobytes()
+        assert stats.maxs.tobytes() == stacked.max(axis=0).tobytes()
+
+    def test_fit_does_not_copy_the_corpus(self):
+        corpus, _ = ft.generate_synthetic(SyntheticSpec(dim=256, frames_per_speaker=4096), RngState(3))
+        corpus_bytes = sum(fm.frames.nbytes for fm in corpus)
+        assert _peak_bytes(lambda: ft.fit_normalizer(corpus)) <= 0.1 * corpus_bytes
+
+    def test_normalize_and_denormalize_leave_their_input_unchanged(self):
+        stats = NormStats(mins=[-1.0, 2.0, 0.0], maxs=[3.0, 2.0, 1.0])  # dimension 1 is degenerate
+        x = FrameMatrix(0, [[0.5, 2.0, 0.25], [3.0, 2.0, 1.0]])
+        before = x.frames.copy()
+        normed = ft.normalize(x, stats)
+        np.testing.assert_array_equal(x.frames, before)
+        normed_before = normed.frames.copy()
+        back = ft.denormalize(normed, stats)
+        np.testing.assert_array_equal(normed.frames, normed_before)
+        np.testing.assert_array_equal(normed.frames[:, 1], 0.0)
+        np.testing.assert_array_equal(back.frames[:, 1], 2.0)
+        assert not np.shares_memory(normed.frames, x.frames)
+        assert not np.shares_memory(back.frames, normed.frames)
 
     def test_midpoint_maps_to_zero(self):
         stats = NormStats(mins=[0.0], maxs=[2.0])
@@ -168,6 +211,12 @@ class TestFilterNonsilent:
             out = ft.filter_nonsilent(fm)
         assert out is fm
 
+    @pytest.mark.parametrize("threshold_db", [np.nan, -5.0, np.inf])
+    def test_rejects_bad_threshold(self, threshold_db):
+        fm = FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, -1.0])
+        with pytest.raises(DataError, match="threshold_db"):
+            ft.filter_nonsilent(fm, threshold_db=threshold_db)
+
 
 class TestSynthetic:
     def test_zero_noise_single_cluster_is_exact(self):
@@ -177,6 +226,19 @@ class TestSynthetic:
             expected = truth.clean_frame(m, 0).astype(np.float32)
             for row in fm.frames:
                 np.testing.assert_allclose(row, expected, rtol=1e-6)
+
+    def test_noise_free_frames_are_their_clusters_clean_frames(self):
+        spec = SyntheticSpec(num_clusters=8, noise_scale=0.0, frames_per_speaker=200, dim=64)
+        corpus, truth = ft.generate_synthetic(spec, RngState(13))
+        for m, fm in enumerate(corpus):
+            assert len(set(truth.assignments[m].tolist())) == 8
+            for row, cluster in zip(fm.frames, truth.assignments[m]):
+                np.testing.assert_allclose(row, truth.clean_frame(m, cluster), rtol=1e-6, atol=1e-9)
+
+    def test_generation_peak_memory(self):
+        spec = SyntheticSpec(dim=256, frames_per_speaker=4096)
+        speaker_block = spec.frames_per_speaker * spec.dim * np.dtype(np.float64).itemsize
+        assert _peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 3 * speaker_block
 
     def test_ideal_conversion_reproduces_target_cluster(self):
         spec = SyntheticSpec(num_clusters=4, noise_scale=0.0, frames_per_speaker=40, dim=8)
@@ -216,7 +278,8 @@ class TestSynthetic:
         "setting",
         [{name: value} for name in ("noise_scale", "map_scale", "bias_scale", "cluster_spread")
          for value in (np.nan, np.inf, -0.1)]
-        + [{name: 2.5} for name in ("num_speakers", "dim", "num_clusters", "frames_per_speaker")],
+        + [{name: 2.5} for name in ("num_speakers", "dim", "num_clusters", "frames_per_speaker")]
+        + [{"max_condition": value} for value in (np.nan, 0.5)],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
     )
     def test_rejects_bad_settings(self, setting):

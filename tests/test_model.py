@@ -310,6 +310,25 @@ class TestConfigValidation:
         with pytest.raises(DataError, match=match):
             NetworkConfig(**{"dim": 8, **knob})
 
+    @pytest.mark.parametrize(
+        "knob",
+        [{"dim": 16.0}, {"z_dim": 6.0}, {"num_speakers": 2.0}, {"embedding_dim": 4.5},
+         {"kernel_size": 3.0}, {"encoder_channels": (8.0, 8, 8)}, {"encoder_strides": (1, 2, 2.0)},
+         {"generator_channels": (8, 8.0, 8)}, {"generator_upsamples": (2.0, 2, 2)},
+         {"critic_channels": (8, 8, 8.0)}, {"critic_strides": (1.0, 2, 2)}],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_non_integer_setting_rejected(self, knob):
+        with pytest.raises(DataError, match=next(iter(knob))):
+            NetworkConfig(**{"dim": 16, **knob})
+
+    def test_numpy_integer_settings_accepted(self):
+        config = NetworkConfig(dim=np.int64(16), z_dim=np.int32(6), kernel_size=np.int64(3),
+                               encoder_channels=[np.int64(4)] * 3, critic_strides=(1, np.int16(2), 2))
+        assert config == NetworkConfig(dim=16, z_dim=6, encoder_channels=(4, 4, 4))
+        assert type(config.dim) is int and type(config.encoder_channels[0]) is int
+        md.init_model(config, RngState(seed=1))
+
     def test_purity_of_forward_passes(self):
         params = md.init_model(CHECK_CONFIG, RngState(seed=5), dtype=np.float64)
         x = _frames(np.random.default_rng(8), 3, 16)
