@@ -193,8 +193,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, low in (("num_speakers", 2), ("dim", 1), ("num_clusters", 1), ("frames_per_speaker", 1)):
-            if as_integer(name, getattr(self, name)) < low:
-                raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
+            value = as_integer(name, getattr(self, name))
+            setattr(self, name, value)  # a Python int, so the spec serializes like NetworkConfig
+            if value < low:
+                raise DataError(f"{name} must be at least {low}, got {value}")
         for name in ("cluster_spread", "map_scale", "bias_scale", "noise_scale"):
             if not 0.0 <= getattr(self, name) < float("inf"):  # NaN fails the comparison too
                 raise DataError(f"{name} must be finite and non-negative, got {getattr(self, name)}")

@@ -54,8 +54,12 @@ class NetworkConfig:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         for net, step in (("encoder", "strides"), ("generator", "upsamples"), ("critic", "strides")):
             for name in (f"{net}_channels", f"{net}_{step}"):
-                entries = tuple(as_integer(f"{name} entry", v) for v in getattr(self, name))
-                object.__setattr__(self, name, entries)
+                value = getattr(self, name)
+                try:
+                    entries = tuple(value)
+                except TypeError:
+                    raise DataError(f"{name} must be a sequence of integers, got {value!r}") from None
+                object.__setattr__(self, name, tuple(as_integer(f"{name} entry", v) for v in entries))
             channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
             if len(channels) != len(factors):
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")

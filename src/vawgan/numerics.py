@@ -10,7 +10,9 @@ The primitive set is deliberately small: matmul, 1-D convolution along
 the feature axis (im2col, one matmul, activations kept as (batch,
 channels, length), an optional per-channel bias added in place, and an
 input gradient computed as a transposed convolution: im2col of the
-stride-spread output gradient with the taps reversed, then one matmul),
+stride-spread output gradient with the taps reversed, then one matmul;
+every column block is one read-only strided view of a zero-edged buffer,
+``_taps``, copied by one reshape),
 elementwise add/sub/mul, branch-free leaky-ReLU, tanh, exp, log, square,
 clip, reduce-sum/mean, broadcast, concat, reshape. Tests verify each
 against finite differences at 64-bit precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
@@ -30,7 +32,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -154,24 +156,47 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), backward_fn, "matmul")
 
 
+def _taps(buf, kernel: int, stride: int, l_out: int, reverse: bool = False) -> np.ndarray:
+    """Read-only (B, C, K, Lout) view of ``buf`` (B, C, length): tap k at position j
+    reads ``buf[..., j * stride + k]``, or ``buf[..., j * stride + K - 1 - k]`` when
+    ``reverse``. Nothing is bounds-checked: the caller sizes ``buf`` to cover every window."""
+    sb, sc, sl = buf.strides
+    base = buf[:, :, kernel - 1 :] if reverse else buf
+    return as_strided(
+        base,
+        shape=(buf.shape[0], buf.shape[1], kernel, l_out),
+        strides=(sb, sc, -sl if reverse else sl, stride * sl),
+        writeable=False,
+    )
+
+
 def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """1-D convolution along the last (feature) axis, plus an optional bias.
 
     x: (batch, in_channels, length), w: (out_channels, in_channels, kernel),
-    bias: (out_channels, 1). Zero padding; output length
-    (L + 2p - K) // stride + 1. im2col: one matmul gives a C-contiguous result
-    in the promoted dtype of x and w, as matmul does, and the bias is added to
-    it in place, bit for bit what ``add(conv1d(x, w), bias)`` gives.
+    bias: (out_channels, 1). ``stride`` >= 1 and ``padding`` >= 0 are integers
+    (NumPy integers pass). Zero padding; output length
+    (L + 2p - K) // stride + 1. im2col: ``x.data`` is copied into the middle of
+    one ``np.empty`` buffer whose ``padding`` columns at each edge are zeroed (no
+    buffer when padding is 0), a strided view of that buffer gives the
+    (B, Cin, K, Lout) windows, and one reshape copies them into the columns.
+    One matmul gives a C-contiguous result in the promoted dtype of x and w, as
+    matmul does, and the bias is added to it in place, bit for bit what
+    ``add(conv1d(x, w), bias)`` gives.
 
     Backward: the input gradient is a transposed convolution (Dumoulin &
     Visin 2016, arXiv:1603.07285): g spread at the stride into a zero buffer,
-    then im2col with the taps reversed and one matmul with the transposed
-    kernel. The tape keeps ``x``, not the columns, and backward rebuilds them
-    from ``x.data``: do not mutate ``x`` before ``backward``.
+    then the same strided view of that buffer with the taps reversed, and one
+    matmul with the transposed kernel. The tape keeps ``x``, not the columns,
+    and backward rebuilds them from ``x.data``: do not mutate ``x`` before
+    ``backward``.
     """
     x, w = as_tensor(x), as_tensor(w)
+    stride, padding = operator.index(stride), operator.index(padding)
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv1d: padding must be >= 0, got {padding}")
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: need 3-D input and kernel, got {x.shape} and {w.shape}")
     batch, c_in, length = x.shape
@@ -188,10 +213,14 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
             raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
         parents = (x, w, b)
 
-    def columns():  # im2col: the windows of the padded input as (B, Cin * K, Lout)
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-        windows = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]  # (B, Cin, Lout, K)
-        return windows.transpose(0, 1, 3, 2).reshape(batch, c_in * kernel, l_out)
+    def columns():  # im2col: the windows of the zero-edged input as (B, Cin * K, Lout)
+        xp = x.data
+        if padding:
+            xp = np.empty((batch, c_in, length + 2 * padding), dtype=x.data.dtype)
+            xp[:, :, :padding] = 0
+            xp[:, :, padding + length :] = 0
+            xp[:, :, padding : padding + length] = x.data
+        return _taps(xp, kernel, stride, l_out).reshape(batch, c_in * kernel, l_out)
 
     data = w.data.reshape(c_out, c_in * kernel) @ columns()
     if bias is not None:
@@ -210,8 +239,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
         if last > first:
             start = offset + first * stride
             spread[:, :, start : start + (last - first) * stride : stride] = g[:, :, first:last]
-        windows = sliding_window_view(spread, kernel, axis=2)[:, :, :, ::-1]  # (B, Cout, L, K)
-        cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
+        cols = _taps(spread, kernel, 1, length, reverse=True).reshape(batch, c_out * kernel, length)
         gx = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
         return gx.astype(x.data.dtype, copy=False)
 

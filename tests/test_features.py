@@ -1,5 +1,7 @@
+import json
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -290,6 +292,13 @@ class TestSynthetic:
         spec = SyntheticSpec(dim=np.int64(4), frames_per_speaker=np.int32(6))
         corpus, _ = ft.generate_synthetic(spec, RngState(1))
         assert corpus[0].frames.shape == (6, 4)
+
+    def test_counts_stored_as_python_ints_round_trip_json(self):
+        spec = SyntheticSpec(num_speakers=np.int8(3), dim=np.int64(4), num_clusters=np.int32(2),
+                             frames_per_speaker=np.uint16(6))
+        fields = ("num_speakers", "dim", "num_clusters", "frames_per_speaker")
+        assert all(type(getattr(spec, name)) is int for name in fields)
+        assert SyntheticSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_rng_argument_controls_generation(self):
         spec = SyntheticSpec(frames_per_speaker=10, dim=4)

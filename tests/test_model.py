@@ -322,6 +322,13 @@ class TestConfigValidation:
         with pytest.raises(DataError, match=next(iter(knob))):
             NetworkConfig(**{"dim": 16, **knob})
 
+    @pytest.mark.parametrize(
+        "knob", [{"encoder_channels": 8}, {"generator_upsamples": None}], ids=lambda knob: next(iter(knob))
+    )
+    def test_non_sequence_setting_rejected(self, knob):
+        with pytest.raises(DataError, match=next(iter(knob))):
+            NetworkConfig(**{"dim": 16, **knob})
+
     def test_numpy_integer_settings_accepted(self):
         config = NetworkConfig(dim=np.int64(16), z_dim=np.int32(6), kernel_size=np.int64(3),
                                encoder_channels=[np.int64(4)] * 3, critic_strides=(1, np.int16(2), 2))

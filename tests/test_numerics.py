@@ -302,6 +302,98 @@ class TestConv1dInputGradient:
         assert x.grad.flags.c_contiguous
 
 
+def _conv1d_oracle(x, w, b, g, stride, padding):
+    """conv1d's output and (gx, gw, gb) as the np.pad + sliding_window_view im2col
+    and the spread-buffer transposed convolution compute them; an oracle only."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    batch, c_in, length = x.shape
+    c_out, _, kernel = w.shape
+    l_out = (length + 2 * padding - kernel) // stride + 1
+
+    def columns():
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+        windows = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
+        return windows.transpose(0, 1, 3, 2).reshape(batch, c_in * kernel, l_out)
+
+    data = w.reshape(c_out, c_in * kernel) @ columns()
+    data += b
+    gb = g.sum(axis=0).sum(axis=1, keepdims=True)
+    gw = (g @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    offset = kernel - 1 - padding
+    first = -(-max(0, -offset) // stride)
+    last = min(l_out, -(-(length + padding) // stride))
+    spread = np.zeros((batch, c_out, length + kernel - 1), dtype=g.dtype)
+    if last > first:
+        start = offset + first * stride
+        spread[:, :, start : start + (last - first) * stride : stride] = g[:, :, first:last]
+    windows = sliding_window_view(spread, kernel, axis=2)[:, :, :, ::-1]
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
+    gx = w.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
+    return data, gx.astype(x.dtype, copy=False), gw, gb
+
+
+class TestConv1dBitIdentity:
+    """conv1d's strided-view columns equal the oracle's bit for bit: padding above
+    K - 1, stride above K, and one input or output channel (columns that can be views)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_grid_matches_oracle(self, dtype, c_in, c_out):
+        rng = np.random.default_rng(43)
+        cases = 0
+        for length in (1, 2, 5, 6, 11, 24):
+            for kernel in (1, 3, 5):
+                for stride in (1, 2, 3, 4):
+                    for padding in (0, 1, 2, 3):
+                        if (length + 2 * padding - kernel) // stride + 1 < 1:
+                            continue
+                        x = rng.standard_normal((3, c_in, length)).astype(dtype)
+                        w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+                        b = rng.standard_normal((c_out, 1)).astype(dtype)
+                        before = x.copy()
+                        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                        out = nm.conv1d(xt, wt, stride=stride, padding=padding, bias=bt)
+                        g = rng.standard_normal(out.shape).astype(dtype)
+                        got = (out.data, *out._backward(g))
+                        want = _conv1d_oracle(x, w, b, g, stride, padding)
+                        for a, e in zip(got, want):
+                            assert a.dtype == e.dtype and a.shape == e.shape
+                            assert a.tobytes() == e.tobytes(), (length, kernel, stride, padding)
+                        assert xt.data is x and x.tobytes() == before.tobytes()
+                        cases += 1
+        assert cases == 264
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_non_contiguous_input_matches_oracle(self, padding):
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((3, 2, 20))[:, :, ::2]  # strided view, not C-contiguous
+        w, b = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 1))
+        out = nm.conv1d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                        stride=2, padding=padding, bias=Tensor(b, requires_grad=True))
+        g = rng.standard_normal(out.shape)
+        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, 2, padding)):
+            assert a.tobytes() == e.tobytes()
+
+
+class TestConv1dArguments:
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ShapeError, match="padding"):
+            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), padding=-1)
+
+    @pytest.mark.parametrize("knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}])
+    def test_non_integer_stride_or_padding_rejected(self, knob):
+        with pytest.raises(TypeError):
+            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), **knob)
+
+    def test_numpy_integers_accepted(self):
+        rng = np.random.default_rng(53)
+        x, w = Tensor(rng.standard_normal((2, 2, 9))), Tensor(rng.standard_normal((4, 2, 3)))
+        ref = nm.conv1d(x, w, stride=2, padding=1).data
+        got = nm.conv1d(x, w, stride=np.int64(2), padding=np.int32(1)).data
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestLeakyRelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
