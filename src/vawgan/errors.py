@@ -5,7 +5,7 @@ bad data or files (DataError and subclasses), and numerical blow-ups
 (NumericError). Exit codes 1/2/3 are reserved for them, in that order,
 for the planned command-line interface; the package has none yet.
 ``as_integer`` is the shared check that turns a non-integer setting
-into a DataError naming it.
+into a DataError naming it; ``as_speaker`` is the one speaker-id lookup.
 """
 
 import operator
@@ -24,7 +24,7 @@ class DimMismatchError(DataError):
 
 
 class UnknownSpeakerError(DataError):
-    """Speaker id outside the embedding table."""
+    """Speaker id that is not an integer or lies outside the known speakers."""
 
 
 class FormatError(DataError):
@@ -53,3 +53,14 @@ def as_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_speaker(value, count: int) -> int:
+    """``value`` as a Python int in [0, count), or UnknownSpeakerError; NumPy integers pass."""
+    try:
+        speaker = operator.index(value)
+    except TypeError:
+        raise UnknownSpeakerError(f"speaker id must be an integer, got {value!r}") from None
+    if not 0 <= speaker < count:
+        raise UnknownSpeakerError(f"speaker id {speaker} outside the {count} known speakers")
+    return speaker

@@ -16,6 +16,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from .errors import (
     BadVersionError,
     DataError,
     DimMismatchError,
+    FormatError,
     TruncatedFileError,
     as_integer,
+    as_speaker,
 )
 from .numerics import RngState
 
@@ -174,19 +177,18 @@ def filter_nonsilent(
 class SyntheticSpec:
     """Recipe for a corpus with known ground truth.
 
-    Each speaker m renders shared cluster prototypes c_k through an
-    affine map: x = A_m c_k + b_m + noise. The maps are kept
-    well-conditioned so the ideal conversion A_t A_s^-1 (x - b_s) + b_t
-    is numerically trustworthy.
+    Each speaker m renders shared cluster prototypes c_k through an affine
+    map: x = A_m c_k + b_m + noise, where c_k and b_m are standard normal and
+    A_m = I + ``map_scale`` N / sqrt(dim), N standard normal; only the noise
+    scale is a field. The maps are kept well-conditioned so the ideal
+    conversion A_t A_s^-1 (x - b_s) + b_t is numerically trustworthy.
     """
 
+    map_scale: ClassVar[float] = 0.15
     num_speakers: int = 2
     dim: int = 24
     num_clusters: int = 8
     frames_per_speaker: int = 4000
-    cluster_spread: float = 1.0
-    map_scale: float = 0.15
-    bias_scale: float = 1.0
     noise_scale: float = 0.05
     silence_fraction: float = 0.0
     max_condition: float = 50.0
@@ -197,9 +199,8 @@ class SyntheticSpec:
             setattr(self, name, value)  # a Python int, so the spec serializes like NetworkConfig
             if value < low:
                 raise DataError(f"{name} must be at least {low}, got {value}")
-        for name in ("cluster_spread", "map_scale", "bias_scale", "noise_scale"):
-            if not 0.0 <= getattr(self, name) < float("inf"):  # NaN fails the comparison too
-                raise DataError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        if not 0.0 <= self.noise_scale < float("inf"):  # NaN fails the comparison too
+            raise DataError(f"noise_scale must be finite and non-negative, got {self.noise_scale}")
         if not 0.0 <= self.silence_fraction < 1.0:
             raise DataError("silence_fraction must lie in [0, 1)")
         # a condition number is >= 1, so a lower cap rejects every map; NaN would pass every map
@@ -219,12 +220,15 @@ class GroundTruth:
 
     def ideal_conversion(self, frames: np.ndarray, source_id: int, target_id: int) -> np.ndarray:
         """Closed-form map composition taking source-space frames to target space."""
+        source_id = as_speaker(source_id, len(self.maps))
+        target_id = as_speaker(target_id, len(self.maps))
         a_s_inv = np.linalg.inv(self.maps[source_id])
         a_t = self.maps[target_id]
         centered = np.asarray(frames, dtype=np.float64) - self.biases[source_id]
         return (a_t @ (a_s_inv @ centered.T)).T + self.biases[target_id]
 
     def clean_frame(self, speaker_id: int, cluster: int) -> np.ndarray:
+        speaker_id = as_speaker(speaker_id, len(self.maps))
         return self.maps[speaker_id] @ self.prototypes[cluster] + self.biases[speaker_id]
 
 
@@ -237,7 +241,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     """
     d, k = spec.dim, spec.num_clusters
 
-    prototypes = spec.cluster_spread * rng.standard_normal((k, d))
+    prototypes = rng.standard_normal((k, d))
     maps, biases = [], []
     for _ in range(spec.num_speakers):
         a = np.eye(d) + spec.map_scale * rng.standard_normal((d, d)) / np.sqrt(d)
@@ -247,7 +251,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
                 f"rendering map is ill-conditioned (condition {cond:.3g} > {spec.max_condition})"
             )
         maps.append(a)
-        biases.append(spec.bias_scale * rng.standard_normal((d,)))
+        biases.append(rng.standard_normal((d,)))
 
     corpus, assignments, silent_flags = [], [], []
     n = spec.frames_per_speaker
@@ -346,6 +350,8 @@ def write_frames(fm: FrameMatrix, path):
 def read_frames(path) -> FrameMatrix:
     dec = _Decoder(Path(path).read_bytes(), FRAME_MAGIC, "frame file")
     speaker_id, dim, num_frames, flags = dec.u32(4, "frame header")
+    if flags & ~1:  # bit 0 (energy present) is the only one defined
+        raise FormatError(f"frame file sets unknown flag bits: flags = {flags:#x}")
     frames = dec.f4(dim * num_frames, "frame payload").reshape(num_frames, dim)
     energy = dec.f4(num_frames, "energy payload") if flags & 1 else None
     dec.finish()
@@ -353,19 +359,11 @@ def read_frames(path) -> FrameMatrix:
 
 
 def write_norm_stats(s: NormStats, path):
-    Path(path).write_bytes(norm_stats_to_bytes(s))
+    Path(path).write_bytes(_encode(NORM_MAGIC, (s.dim,), s.mins, s.maxs))
 
 
 def read_norm_stats(path) -> NormStats:
-    return norm_stats_from_bytes(Path(path).read_bytes())
-
-
-def norm_stats_to_bytes(s: NormStats) -> bytes:
-    return _encode(NORM_MAGIC, (s.dim,), s.mins, s.maxs)
-
-
-def norm_stats_from_bytes(blob: bytes) -> NormStats:
-    dec = _Decoder(blob, NORM_MAGIC, "normalizer file")
+    dec = _Decoder(Path(path).read_bytes(), NORM_MAGIC, "normalizer file")
     (dim,) = dec.u32(1, "normalizer dim")
     mins = dec.f4(dim, "normalizer mins")
     maxs = dec.f4(dim, "normalizer maxs")

@@ -10,44 +10,47 @@ its weights clipped it is Lipschitz, and `critic_lipschitz_bound`
 certifies a constant from per-layer operator norms: each conv's from its
 polyphase symbol, the dense head's from its SVD.
 
-Layer counts, kernels and strides are config-driven defaults sized for
-CPU training, not a reproduction of any particular architecture.
+Layer counts, widths and strides are config-driven defaults sized for
+CPU training, not a reproduction of any particular architecture; the
+kernel size, slope and log-variance clamp are fixed constants.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import DataError, NumericError, ShapeError, UnknownSpeakerError, as_integer
+from .errors import DataError, NumericError, ShapeError, as_integer, as_speaker
 from .numerics import RngState, Tensor
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Shared architecture knobs for all three networks."""
+    """Shared architecture knobs for all three networks. The kernel size,
+    leaky-ReLU slope and log-variance clamp are class constants, not fields."""
 
+    kernel_size: ClassVar[int] = 3
+    padding: ClassVar[int] = kernel_size // 2
+    leaky_slope: ClassVar[float] = 0.2
+    logvar_bound: ClassVar[float] = 14.0
     dim: int
     z_dim: int = 64
     num_speakers: int = 2
     embedding_dim: int = 16
-    kernel_size: int = 3
     encoder_channels: tuple[int, ...] = (8, 8, 8)
     encoder_strides: tuple[int, ...] = (1, 2, 2)
     generator_channels: tuple[int, ...] = (8, 8, 8)
     generator_upsamples: tuple[int, ...] = (2, 2, 2)
     critic_channels: tuple[int, ...] = (8, 8, 8)
     critic_strides: tuple[int, ...] = (1, 2, 2)
-    leaky_slope: float = 0.2
-    logvar_bound: float = 14.0
 
     def __post_init__(self):
         # frozen, so the checked Python ints are stored with object.__setattr__
-        for name in ("dim", "z_dim", "num_speakers", "embedding_dim", "kernel_size"):
+        for name in ("dim", "z_dim", "num_speakers", "embedding_dim"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         for name in ("dim", "z_dim", "embedding_dim", "num_speakers"):
             if getattr(self, name) < 1:
@@ -61,18 +64,12 @@ class NetworkConfig:
                     raise DataError(f"{name} must be a sequence of integers, got {value!r}") from None
                 object.__setattr__(self, name, tuple(as_integer(f"{name} entry", v) for v in entries))
             channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
+            if not channels or min(channels) < 1:
+                raise DataError(f"{net}_channels must be non-empty and all >= 1, got {channels}")
             if len(channels) != len(factors):
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")
-            if min(factors, default=1) < 1:
+            if min(factors) < 1:
                 raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
-            if min(channels, default=1) < 1:
-                raise DataError(f"{net}_channels must all be >= 1, got {channels}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # even: padding k // 2 lengthens
-            raise DataError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise DataError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
-        if not self.logvar_bound >= 0:  # negated comparison so that NaN is rejected too
-            raise DataError(f"logvar_bound must be non-negative, got {self.logvar_bound}")
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
@@ -82,20 +79,12 @@ class NetworkConfig:
         # stacks cannot collapse the signal; conv1d still guards the general case
 
     @property
-    def padding(self) -> int:
-        return self.kernel_size // 2
-
-    @property
     def _upsample_product(self) -> int:
         return math.prod(self.generator_upsamples)
 
     @property
     def generator_seed_length(self) -> int:
         return self.dim // self._upsample_product
-
-    @property
-    def _generator_seed_width(self) -> int:
-        return self.generator_channels[0] if self.generator_channels else 1
 
     def conv_lengths(self, strides) -> list[int]:
         lengths = [self.dim]
@@ -209,7 +198,7 @@ def init_generator(config: NetworkConfig, rng: RngState, dtype=np.float32) -> Ge
         )
     }
     merged = config.z_dim + config.embedding_dim
-    seed_width = config._generator_seed_width
+    seed_width = config.generator_channels[0]
     seed_size = seed_width * config.generator_seed_length
     tensors["merge.w"] = _init_tensor(rng, (merged, seed_size), merged, dtype)
     tensors["merge.b"] = _zeros((seed_size,), dtype)
@@ -320,14 +309,7 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     if z.data.ndim != 2 or z.shape[1] != cfg.z_dim:
         raise ShapeError(f"generate: expected (batch, {cfg.z_dim}) latents, got {z.shape}")
     n_speakers = params.num_speakers
-    try:
-        speaker_id = operator.index(speaker_id)  # NumPy integers pass, 1.5 does not
-    except TypeError:
-        raise UnknownSpeakerError(f"speaker id must be an integer, got {speaker_id!r}") from None
-    if not 0 <= speaker_id < n_speakers:
-        raise UnknownSpeakerError(
-            f"speaker id {speaker_id} outside embedding table of size {n_speakers}"
-        )
+    speaker_id = as_speaker(speaker_id, n_speakers)
     batch = z.shape[0]
 
     onehot = np.zeros((1, n_speakers), dtype=z.data.dtype)
@@ -340,7 +322,7 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     h = nm.leaky_relu(h, slope=cfg.leaky_slope)
     _ensure_finite(h, "generator merge layer")
 
-    h = nm.reshape(h, (batch, cfg._generator_seed_width, cfg.generator_seed_length))
+    h = nm.reshape(h, (batch, cfg.generator_channels[0], cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
         h = _conv_block(_upsample(h, factor), params.tensors, i, 1, cfg, "generator")
     h = nm.conv1d(
@@ -380,15 +362,15 @@ def critic_lipschitz_bound(params: CriticParams) -> float:
     circular one of any length n >= L + 2p, so its norm is at most the
     circular norm, which the polyphase symbol gives exactly (Sedghi et al.,
     "The Singular Values of Convolutional Layers", ICLR 2019, for stride 1).
-    The dense head is measured by its SVD; leaky-ReLU contributes max(1, slope).
+    The dense head is measured by its SVD. A leaky ReLU with slope in [0, 1]
+    is 1-Lipschitz, so the activations add no factor.
     """
     cfg = params.config
     bound = 1.0
-    act = max(1.0, cfg.leaky_slope)
     lengths = cfg.conv_lengths(cfg.critic_strides)
     for i, stride in enumerate(cfg.critic_strides):
         w = params.tensors[f"conv{i}.w"].data
-        bound *= _conv_operator_norm(w, lengths[i], stride, cfg.padding) * act
+        bound *= _conv_operator_norm(w, lengths[i], stride, cfg.padding)
     out_w = params.tensors["out.w"].data.astype(np.float64)
     bound *= np.linalg.svd(out_w, compute_uv=False)[0]
     return float(bound)

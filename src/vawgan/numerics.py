@@ -64,6 +64,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item: expected one element, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
@@ -479,11 +481,15 @@ class RngState:
     counter: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        # operator.index, not int(): 1.5 and "3" are rejected, not truncated or parsed
+        self.seed, self.counter = operator.index(self.seed), operator.index(self.counter)
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in u64, got {self.seed}")
+        if self.counter < 0:
+            raise ValueError(f"counter must be non-negative, got {self.counter}")
 
     def _generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.counter),))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.counter,))
         self.counter += 1
         return np.random.Generator(np.random.PCG64(ss))
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import model as M
 from . import numerics as nm
 from . import objectives as O
+from .errors import as_speaker
 from .numerics import RngState, Tensor
 
 # decay and epsilon of the RMSProp used by the reference WGAN code
@@ -67,6 +68,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}") from None
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        object.__setattr__(self, "batch_size", batch_size)  # a Python int, so it serializes
 
 
 def rmsprop_update(params: M.ModelParams, mean_square: dict):
@@ -144,7 +146,9 @@ def critic_step(
 ) -> float:
     """One critic update: ascend the gap between real target frames and source
     frames converted to the target, then clip every critic weight to
-    ±``clip_bound``. Returns the gap before the update."""
+    ±``clip_bound``. Returns the gap before the update. The speaker ids are
+    checked before any draw, so a rejected call leaves ``rng`` unchanged."""
+    source, target = as_speaker(source, len(frames)), as_speaker(target, len(frames))
     params.set_requires_grad(encoder=False, generator=False, critic=True)
     x = _draw(frames[source], config.batch_size, rng)
     mu, log_var = M.encode(x, params.encoder)

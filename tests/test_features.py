@@ -14,18 +14,12 @@ from vawgan.errors import (
     BadVersionError,
     DataError,
     DimMismatchError,
+    FormatError,
     TruncatedFileError,
+    UnknownSpeakerError,
 )
 from vawgan.features import FrameMatrix, NormStats, SyntheticSpec
 from vawgan.numerics import RngState
-
-VAWN = ft.norm_stats_to_bytes(NormStats(mins=[-1.5, 0.0], maxs=[2.5, 0.0]))
-
-
-def _raised(read, source):
-    with pytest.raises(Exception) as info:
-        read(source)
-    return info.type
 
 
 def _peak_bytes(fn) -> int:
@@ -250,6 +244,17 @@ class TestSynthetic:
         for row, cluster in zip(converted, truth.assignments[0]):
             np.testing.assert_allclose(row, truth.clean_frame(1, cluster), atol=1e-4)
 
+    def test_unknown_speakers_rejected(self):
+        _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
+        frames = np.zeros((1, 4))
+        for source, target in ((0, -1), (-1, 1), (0, 2), (2, 0), (0, 1.0)):
+            with pytest.raises(UnknownSpeakerError):
+                truth.ideal_conversion(frames, source, target)
+        for speaker in (-1, 2, 0.5):
+            with pytest.raises(UnknownSpeakerError):
+                truth.clean_frame(speaker, 0)
+        np.testing.assert_array_equal(truth.clean_frame(np.int64(1), 0), truth.clean_frame(1, 0))
+
     def test_same_seed_bitwise_identical(self):
         spec = SyntheticSpec(frames_per_speaker=30, dim=5)
         corpus_a, _ = ft.generate_synthetic(spec, RngState(21))
@@ -278,8 +283,7 @@ class TestSynthetic:
 
     @pytest.mark.parametrize(
         "setting",
-        [{name: value} for name in ("noise_scale", "map_scale", "bias_scale", "cluster_spread")
-         for value in (np.nan, np.inf, -0.1)]
+        [{"noise_scale": value} for value in (np.nan, np.inf, -0.1)]
         + [{name: 2.5} for name in ("num_speakers", "dim", "num_clusters", "frames_per_speaker")]
         + [{"max_condition": value} for value in (np.nan, 0.5)],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
@@ -368,6 +372,17 @@ class TestFrameFileFormat:
         with pytest.raises(TruncatedFileError):
             ft.read_frames(path)
 
+    @pytest.mark.parametrize("energy, flags", [(None, 2), ([0.0], 3), (None, 2**31)],
+                             ids=["bit1", "bits0-1", "bit31"])
+    def test_unknown_flag_bits_rejected(self, tmp_path, energy, flags):
+        path = tmp_path / "flags.vawf"
+        ft.write_frames(FrameMatrix(0, [[1.0]], energy=energy), path)
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = struct.pack("<I", flags)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"flags = {flags:#x}"):
+            ft.read_frames(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "long.vawf"
         ft.write_frames(FrameMatrix(0, [[1.0]]), path)
@@ -388,12 +403,6 @@ class TestNormStatsFormat:
         ft.write_norm_stats(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
-    def test_bytes_round_trip(self):
-        stats = NormStats(mins=[0.0, 1.0], maxs=[3.0, 4.0])
-        again = ft.norm_stats_from_bytes(ft.norm_stats_to_bytes(stats))
-        assert np.array_equal(again.mins, stats.mins)
-        assert np.array_equal(again.maxs, stats.maxs)
-
     def test_bad_magic_distinct_from_bad_version(self, tmp_path):
         path = tmp_path / "stats.vawn"
         ft.write_norm_stats(NormStats(mins=[0.0], maxs=[1.0]), path)
@@ -411,23 +420,67 @@ class TestNormStatsFormat:
             ft.read_norm_stats(path)
 
 
-class TestNormStatsReadersAgree:
-    """The bytes reader and the file reader reject each bad VAWN blob alike."""
+class _Format:
+    """One binary format: a valid file made by its writer, and its reader on any bytes."""
+
+    def __init__(self, write, read, value, header_bytes, path):
+        self.write, self._read, self.header_bytes, self.path = write, read, header_bytes, path
+        write(value, path)
+        self.valid = path.read_bytes()
+
+    def read(self, blob: bytes):
+        self.path.write_bytes(blob)
+        return self._read(self.path)
+
+
+@pytest.fixture(scope="module", params=["vawf", "vawn"])
+def fmt(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("formats") / f"file.{request.param}"
+    if request.param == "vawf":  # header: magic, version, speaker, dim, count, flags
+        frames = FrameMatrix(3, [[1.0, -2.0], [4.0, 0.5]], energy=[0.0, -1.0])
+        return _Format(ft.write_frames, ft.read_frames, frames, 24, path)
+    stats = NormStats(mins=[-1.5, 0.0], maxs=[2.5, 0.0])  # header: magic, version, dim
+    return _Format(ft.write_norm_stats, ft.read_norm_stats, stats, 12, path)
+
+
+class TestCorruptFiles:
+    """Every reader returns a valid object or raises a DataError subclass."""
 
     @pytest.mark.parametrize(
-        "blobs, expected",
-        [
-            pytest.param([VAWN + b"\0"], TruncatedFileError, id="appended-byte"),
-            pytest.param([VAWN[:n] for n in range(len(VAWN))], TruncatedFileError, id="prefixes"),
-            pytest.param([b"WRNG" + VAWN[4:]], BadMagicError, id="bad-magic"),
-            pytest.param(
-                [VAWN[:4] + (9).to_bytes(4, "little") + VAWN[8:]], BadVersionError, id="bad-version"
-            ),
-        ],
+        "case, expected",
+        [pytest.param(case, expected, id=case) for case, expected in (
+            ("appended-byte", TruncatedFileError), ("prefixes", TruncatedFileError),
+            ("bad-magic", BadMagicError), ("bad-version", BadVersionError))],
     )
-    def test_same_exception(self, tmp_path, blobs, expected):
-        path = tmp_path / "stats.vawn"
+    def test_named_case(self, fmt, case, expected):
+        valid = fmt.valid
+        blobs = {
+            "appended-byte": [valid + b"\0"],
+            "prefixes": [valid[:n] for n in range(len(valid))],
+            "bad-magic": [b"WRNG" + valid[4:]],
+            "bad-version": [valid[:4] + (9).to_bytes(4, "little") + valid[8:]],
+        }[case]
         for blob in blobs:
-            path.write_bytes(blob)
-            assert _raised(ft.norm_stats_from_bytes, blob) is expected
-            assert _raised(ft.read_norm_stats, path) is expected
+            with pytest.raises(expected):
+                fmt.read(blob)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_file_reads_faithfully_or_raises_data_error(self, fmt, data):
+        blob = bytearray(fmt.valid)
+        mutation = data.draw(st.sampled_from(["prefix", "append", "overwrite-header"]))
+        if mutation == "prefix":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif mutation == "append":
+            blob.append(data.draw(st.integers(0, 255)))
+        else:
+            position, byte = st.integers(0, fmt.header_bytes - 1), st.integers(0, 255)
+            for i, value in data.draw(st.lists(st.tuples(position, byte), min_size=1, max_size=4)):
+                blob[i] = value
+        try:
+            value = fmt.read(bytes(blob))
+        except DataError:
+            return
+        again = fmt.path.with_suffix(".again")
+        fmt.write(value, again)  # a successful read loses nothing the file held
+        assert again.read_bytes() == blob

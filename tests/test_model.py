@@ -8,6 +8,7 @@ from vawgan import model as md
 from vawgan import numerics as nm
 from vawgan import objectives as O
 from vawgan.errors import DataError, NumericError, ShapeError, UnknownSpeakerError
+from vawgan.features import SyntheticSpec
 from vawgan.model import NetworkConfig
 from vawgan.numerics import RngState, Tensor
 
@@ -284,10 +285,6 @@ class TestConfigValidation:
             ({"encoder_strides": (0, 2, 2)}, "strides"),
             ({"critic_strides": (1, 2, 0)}, "strides"),
             ({"generator_upsamples": (0, 2, 2)}, "upsample"),
-            ({"kernel_size": 0}, "kernel_size"),
-            ({"kernel_size": 2}, "kernel_size"),
-            ({"leaky_slope": 1.5}, "leaky_slope"),
-            ({"leaky_slope": -0.1}, "leaky_slope"),
             ({"dim": 0}, "dim"),
             ({"dim": -8}, "dim"),
             ({"z_dim": 0}, "z_dim"),
@@ -296,14 +293,14 @@ class TestConfigValidation:
             ({"encoder_channels": (8, 0, 8)}, "encoder_channels"),
             ({"generator_channels": (0, 8, 8)}, "generator_channels"),
             ({"critic_channels": (8, 0, 8)}, "critic_channels"),
-            ({"logvar_bound": -1.0}, "logvar_bound"),
-            ({"logvar_bound": float("nan")}, "logvar_bound"),
+            ({"encoder_channels": (), "encoder_strides": ()}, "encoder_channels"),
+            ({"generator_channels": (), "generator_upsamples": ()}, "generator_channels"),
+            ({"critic_channels": (), "critic_strides": ()}, "critic_channels"),
         ],
         ids=[
-            "encoder-stride", "critic-stride", "upsample", "kernel", "kernel-even",
-            "slope-high", "slope-low", "dim-zero", "dim-negative", "z-dim", "embedding-dim",
-            "speakers", "encoder-width", "generator-width", "critic-width", "logvar-negative",
-            "logvar-nan",
+            "encoder-stride", "critic-stride", "upsample", "dim-zero", "dim-negative", "z-dim",
+            "embedding-dim", "speakers", "encoder-width", "generator-width", "critic-width",
+            "encoder-empty", "generator-empty", "critic-empty",
         ],
     )
     def test_out_of_range_setting_rejected(self, knob, match):
@@ -313,7 +310,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "knob",
         [{"dim": 16.0}, {"z_dim": 6.0}, {"num_speakers": 2.0}, {"embedding_dim": 4.5},
-         {"kernel_size": 3.0}, {"encoder_channels": (8.0, 8, 8)}, {"encoder_strides": (1, 2, 2.0)},
+         {"encoder_channels": (8.0, 8, 8)}, {"encoder_strides": (1, 2, 2.0)},
          {"generator_channels": (8, 8.0, 8)}, {"generator_upsamples": (2.0, 2, 2)},
          {"critic_channels": (8, 8, 8.0)}, {"critic_strides": (1.0, 2, 2)}],
         ids=lambda knob: next(iter(knob)),
@@ -330,11 +327,23 @@ class TestConfigValidation:
             NetworkConfig(**{"dim": 16, **knob})
 
     def test_numpy_integer_settings_accepted(self):
-        config = NetworkConfig(dim=np.int64(16), z_dim=np.int32(6), kernel_size=np.int64(3),
+        config = NetworkConfig(dim=np.int64(16), z_dim=np.int32(6),
                                encoder_channels=[np.int64(4)] * 3, critic_strides=(1, np.int16(2), 2))
         assert config == NetworkConfig(dim=16, z_dim=6, encoder_channels=(4, 4, 4))
         assert type(config.dim) is int and type(config.encoder_channels[0]) is int
         md.init_model(config, RngState(seed=1))
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(NetworkConfig, "kernel_size"), (NetworkConfig, "leaky_slope"),
+         (NetworkConfig, "logvar_bound"), (SyntheticSpec, "cluster_spread"),
+         (SyntheticSpec, "map_scale"), (SyntheticSpec, "bias_scale")],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_fixed_constants_are_not_settings(self, cls, name):
+        fields = {"dim": 8} if cls is NetworkConfig else {}
+        with pytest.raises(TypeError, match=name):
+            cls(**fields, **{name: 1.0})
 
     def test_purity_of_forward_passes(self):
         params = md.init_model(CHECK_CONFIG, RngState(seed=5), dtype=np.float64)

@@ -17,6 +17,12 @@ class TestForward:
         out = nm.matmul(eye, x)
         assert np.array_equal(out.data, [[3.0], [-1.5]])
 
+    def test_item_needs_exactly_one_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        for data in ([3.0, 4.0], np.zeros((0,))):
+            with pytest.raises(ShapeError, match="item"):
+                Tensor(data).item()
+
     def test_activation_fixed_points(self):
         assert nm.tanh(Tensor(0.0)).item() == 0.0
         assert nm.leaky_relu(Tensor(-1.0), slope=0.2).item() == pytest.approx(-0.2)
@@ -485,3 +491,18 @@ class TestRng:
             RngState(seed=-1)
         with pytest.raises(ValueError):
             RngState(seed=2**64)
+
+    def test_rejects_negative_counter_when_built(self):
+        with pytest.raises(ValueError, match="counter"):
+            RngState(seed=1, counter=-1)
+
+    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "3"}, {"seed": 1, "counter": 2.7}],
+                             ids=["float-seed", "string-seed", "float-counter"])
+    def test_rejects_non_integer_seed_and_counter(self, fields):
+        with pytest.raises(TypeError):
+            RngState(**fields)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        rng = RngState(seed=np.uint64(7), counter=np.int32(2))
+        assert type(rng.seed) is int and type(rng.counter) is int
+        assert np.array_equal(rng.standard_normal((3,)), RngState(7, 2).standard_normal((3,)))

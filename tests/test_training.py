@@ -1,9 +1,13 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from vawgan import features as F
 from vawgan import model as md
 from vawgan import training as tr
+from vawgan.errors import UnknownSpeakerError
 from vawgan.model import NetworkConfig
 from vawgan.numerics import RngState
 from vawgan.training import TrainConfig
@@ -50,6 +54,11 @@ class TestTrainConfig:
     def test_accepts_numpy_integer_batch_size(self):
         assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
 
+    def test_batch_size_stored_as_python_int_round_trips_json(self):
+        config = TrainConfig(batch_size=np.int64(8))
+        assert type(config.batch_size) is int
+        assert TrainConfig(**json.loads(json.dumps(asdict(config)))) == config
+
 
 class TestWarmupStep:
     def test_critic_untouched_and_vae_updated(self, frames):
@@ -66,6 +75,24 @@ class TestWarmupStep:
         )
         assert breakdown.alpha == 0.0
         assert breakdown.j_lat >= 0.0 and np.isfinite(breakdown.total)
+
+
+class TestSpeakerIds:
+    @pytest.mark.parametrize("step", [tr.critic_step, tr.joint_step], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("source, target", [(-1, 1), (5, 1), (0, 2), (0, -2), (0.0, 1)])
+    def test_unknown_speaker_rejected_before_any_draw(self, frames, step, source, target):
+        params, rng, state = _params(), RngState(seed=7, counter=4), {}
+        before = {name: t.data.copy() for name, t in params.named_parameters().items()}
+        with pytest.raises(UnknownSpeakerError):
+            step(params, frames, source, target, SMALL, rng, state)
+        assert rng.counter == 4 and state == {}
+        for name, t in params.named_parameters().items():
+            assert np.array_equal(t.data, before[name]), name
+
+    def test_numpy_integer_speakers_accepted(self, frames):
+        gaps = [tr.critic_step(_params(), frames, s, t, SMALL, RngState(1), {})
+                for s, t in ((0, 1), (np.int64(0), np.int32(1)))]
+        assert gaps[0] == gaps[1]
 
 
 class TestJointStep:
