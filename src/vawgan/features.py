@@ -12,6 +12,7 @@ computable in closed form and keeps the learning task honest to check.
 
 from __future__ import annotations
 
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -49,8 +50,8 @@ class FrameMatrix:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise DataError(f"frames must be a non-empty N x D matrix, got shape {self.frames.shape}")
+        if self.frames.ndim != 2 or min(self.frames.shape) < 1:
+            raise DataError(f"frames must be an N x D matrix with N, D >= 1, got shape {self.frames.shape}")
         self.speaker_id = as_integer("speaker_id", self.speaker_id)
         if self.speaker_id < 0:
             raise DataError(f"speaker_id must be non-negative, got {self.speaker_id}")
@@ -82,8 +83,9 @@ class NormStats:
     def __post_init__(self):
         self.mins = np.asarray(self.mins, dtype=np.float32)
         self.maxs = np.asarray(self.maxs, dtype=np.float32)
-        if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
-            raise DataError("mins and maxs must be equal-length vectors")
+        if self.mins.shape != self.maxs.shape or self.mins.ndim != 1 or self.mins.size < 1:
+            raise DataError(f"mins and maxs must be equal-length, non-empty vectors, got "
+                            f"shapes {self.mins.shape} and {self.maxs.shape}")
         if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
             raise DataError("mins and maxs must be finite")
         if np.any(self.maxs < self.mins):
@@ -229,7 +231,14 @@ class GroundTruth:
 
     def clean_frame(self, speaker_id: int, cluster: int) -> np.ndarray:
         speaker_id = as_speaker(speaker_id, len(self.maps))
-        return self.maps[speaker_id] @ self.prototypes[cluster] + self.biases[speaker_id]
+        count = self.prototypes.shape[0]
+        try:
+            index = operator.index(cluster)  # NumPy integers pass, 1.5 does not
+        except TypeError:
+            index = -1
+        if not 0 <= index < count:  # a negative index would wrap to another cluster
+            raise DataError(f"cluster must be an integer in [0, {count}), got {cluster!r}")
+        return self.maps[speaker_id] @ self.prototypes[index] + self.biases[speaker_id]
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: RngState):

@@ -242,9 +242,8 @@ def _ensure_finite(t: Tensor, where: str):
 def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str):
     h = nm.conv1d(
         h, tensors[f"conv{idx}.w"], stride=stride, padding=config.padding,
-        bias=tensors[f"conv{idx}.b"],
+        bias=tensors[f"conv{idx}.b"], slope=config.leaky_slope,
     )
-    h = nm.leaky_relu(h, slope=config.leaky_slope)
     _ensure_finite(h, f"{net} conv layer {idx}")
     return h
 
@@ -275,13 +274,18 @@ def encode(x, params: EncoderParams):
 
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> LatentBatch:
-    """z = mu + exp(0.5 * log_var) * eps with eps ~ N(0, I); differentiable in both."""
+    """z = mu + exp(0.5 * log_var) * eps with eps ~ N(0, I); differentiable in both.
+
+    A given ``eps`` must have exactly ``mu.shape``: one that would broadcast
+    would share one noise draw between frames."""
     if mu.shape != log_var.shape:
         raise ShapeError(f"reparameterize: mu {mu.shape} vs log_var {log_var.shape}")
     if eps is None:
         eps = rng.standard_normal(mu.shape, dtype=mu.data.dtype)
     else:
         eps = np.asarray(eps, dtype=mu.data.dtype)
+        if eps.shape != mu.shape:
+            raise ShapeError(f"reparameterize: eps {eps.shape} vs mu {mu.shape}")
     std = nm.exp(nm.mul(log_var, 0.5))
     z = nm.add(mu, nm.mul(std, Tensor(eps)))
     return LatentBatch(z=z, eps=eps)

@@ -7,18 +7,28 @@ topological order; ``grad_check`` compares the result against central
 finite differences element by element.
 
 The primitive set is deliberately small: matmul, 1-D convolution along
-the feature axis (im2col, one matmul, activations kept as (batch,
-channels, length), an optional per-channel bias added in place, and an
-input gradient computed as a transposed convolution: im2col of the
-stride-spread output gradient with the taps reversed, then one matmul;
-every column block is one read-only strided view of a zero-edged buffer,
-``_taps``, copied by one reshape),
-elementwise add/sub/mul, branch-free leaky-ReLU, tanh, exp, log, square,
-clip, reduce-sum/mean, broadcast, concat, reshape. Tests verify each
-against finite differences at 64-bit precision. Outputs follow NumPy promotion, and a scalar operand of add/sub/mul
-takes the tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
+the feature axis, elementwise add/sub/mul, branch-free leaky-ReLU, tanh,
+exp, log, square, clip, reduce-sum/mean, broadcast, concat, reshape.
+Tests verify each against finite differences at 64-bit precision. Outputs
+follow NumPy promotion, and a scalar operand of add/sub/mul takes the
+tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
 add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
 log, square, clip and the two reductions share one one-input helper, ``_unary``.
+
+conv1d is im2col plus one matmul, with activations kept as (batch,
+channels, length). It works over the batch in blocks of rows whose columns
+take about ``_BLOCK_BYTES``, so each block's columns and outputs are still in
+cache for the matmul, the in-place bias and the optional leaky-ReLU
+(``slope``) that follow. Every column block is one read-only strided view,
+``_taps``, of a zero-edged buffer, copied into a column buffer. Buffers
+that do not outlive a call come from one per-thread arena, ``_scratch``, so
+that they do not fault in fresh pages on every call. The input
+gradient is a transposed convolution: im2col of the stride-spread output
+gradient with the taps reversed, then one matmul. With ``slope`` the tape
+keeps the bool mask of the non-negative pre-activations, not the
+pre-activation. Each sample goes through the same matmuls as without
+blocks, and the weight gradient's per-sample products are summed over the
+whole batch at the end, so blocking changes no bit.
 
 All primitives are pure: inputs are never mutated, and identical inputs
 give bitwise-identical outputs on one platform. Backward closures re-read
@@ -28,7 +38,9 @@ do not mutate a tensor between its forward use and ``backward``.
 
 from __future__ import annotations
 
+import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +49,11 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# byte budget of one block of conv1d's im2col columns, so that a block of rows and
+# its output stay in a core's L2 cache between the column copy and the matmul;
+# 512 KiB measured best of 256 KiB to 4 MiB at dim 512 (BENCH_convblocks.json)
+_BLOCK_BYTES = 1 << 19
 
 
 class Tensor:
@@ -172,26 +189,85 @@ def _taps(buf, kernel: int, stride: int, l_out: int, reverse: bool = False) -> n
     )
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
-    """1-D convolution along the last (feature) axis, plus an optional bias.
+_arena = threading.local()
+
+
+def _scratch(*specs) -> list:
+    """One array per (shape, dtype) spec, carved from a per-thread byte arena that
+    only grows. conv1d's per-call buffers thus reuse memory that is already mapped
+    instead of faulting in fresh pages on every call; they never leave the call."""
+    offsets, end = [], 0
+    for shape, dtype in specs:
+        offsets.append(end)
+        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+    arena = getattr(_arena, "bytes", None)
+    if arena is None or arena.size < end:
+        arena = _arena.bytes = np.empty(end, dtype=np.uint8)
+    return [np.ndarray(shape, dtype, buffer=arena, offset=offset)
+            for (shape, dtype), offset in zip(specs, offsets)]
+
+
+def _im2col(windows, buf) -> np.ndarray:
+    """The (n, C, K, L) ``windows`` as (n, C * K, L) columns: a view when their strides
+    allow one, as reshape gives it, else copied into the front of the byte buffer ``buf``."""
+    n, c, k, length = windows.shape
+    if c == 1 or k == 1 or windows.strides[1] == k * windows.strides[2]:
+        return windows.reshape(n, c * k, length)
+    cols = buf[: windows.nbytes].view(windows.dtype).reshape(n, c * k, length)
+    np.copyto(cols.reshape(n, c, k, length), windows)
+    return cols
+
+
+def _check_slope(op: str, slope):
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"{op}: slope must lie in [0, 1], got {slope}")
+
+
+def _leaky_grad(above, g, slope, out) -> np.ndarray:
+    """``out`` = g * max(above, slope): g where the input was >= 0, slope * g elsewhere."""
+    np.copyto(out, above)
+    np.maximum(out, slope, out=out)
+    out *= g
+    return out
+
+
+def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Tensor:
+    """1-D convolution along the last (feature) axis, plus an optional bias and an
+    optional leaky-ReLU.
 
     x: (batch, in_channels, length), w: (out_channels, in_channels, kernel),
     bias: (out_channels, 1). ``stride`` >= 1 and ``padding`` >= 0 are integers
     (NumPy integers pass). Zero padding; output length
-    (L + 2p - K) // stride + 1. im2col: ``x.data`` is copied into the middle of
-    one ``np.empty`` buffer whose ``padding`` columns at each edge are zeroed (no
-    buffer when padding is 0), a strided view of that buffer gives the
-    (B, Cin, K, Lout) windows, and one reshape copies them into the columns.
-    One matmul gives a C-contiguous result in the promoted dtype of x and w, as
-    matmul does, and the bias is added to it in place, bit for bit what
-    ``add(conv1d(x, w), bias)`` gives.
+    (L + 2p - K) // stride + 1. The result is C-contiguous, in the promoted
+    dtype of x and w (and of the bias), as matmul and add give it.
 
-    Backward: the input gradient is a transposed convolution (Dumoulin &
-    Visin 2016, arXiv:1603.07285): g spread at the stride into a zero buffer,
-    then the same strided view of that buffer with the taps reversed, and one
-    matmul with the transposed kernel. The tape keeps ``x``, not the columns,
-    and backward rebuilds them from ``x.data``: do not mutate ``x`` before
-    ``backward``.
+    The batch is taken in blocks of rows, as many as the whole number nearest to
+    its im2col columns (forward or backward, whichever is larger) over
+    ``_BLOCK_BYTES``, and at least one, so each block's columns are still in cache
+    when its matmul reads them. Per block: the rows of ``x.data`` are copied into
+    the middle of one reused buffer whose ``padding`` columns at each edge stay
+    zero (no buffer when padding is 0), a strided view of it gives the
+    (b, Cin, K, Lout) windows, which are copied into the columns (or viewed as
+    them, where reshape would give a view), and one matmul writes the block's
+    rows of the output; the bias is added in place. Every sample goes through
+    the same matmul as in one unblocked call, so the output is bit for bit
+    ``add(conv1d(x, w), bias)``. The buffers that do not outlive a call come
+    from ``_scratch``'s per-thread arena.
+
+    ``slope`` in [0, 1] applies ``leaky_relu`` to each block while it is in
+    cache; the result is bit for bit ``leaky_relu(conv1d(x, w, ..., bias), slope)``.
+    The tape then keeps the bool mask ``pre >= 0`` of the pre-activation, not
+    the pre-activation itself. The mask is not read from the output's sign: a
+    negative subnormal pre-activation can give ``slope * pre == -0.0``.
+
+    Backward, per block of rows: the weight gradient's per-sample products go
+    into one (B, Cout, Cin * K) array that is summed over the batch at the end,
+    as one unblocked matmul and sum would. The input gradient is a transposed
+    convolution (Dumoulin & Visin 2016, arXiv:1603.07285): g spread at the
+    stride into a zero buffer, then the same strided view of that buffer with
+    the taps reversed, and one matmul with the transposed kernel into the
+    block's rows of gx. The tape keeps ``x``, not the columns, and backward
+    rebuilds them from ``x.data``: do not mutate ``x`` before ``backward``.
     """
     x, w = as_tensor(x), as_tensor(w)
     stride, padding = operator.index(stride), operator.index(padding)
@@ -199,6 +275,8 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"conv1d: padding must be >= 0, got {padding}")
+    if slope is not None:
+        _check_slope("conv1d", slope)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: need 3-D input and kernel, got {x.shape} and {w.shape}")
     batch, c_in, length = x.shape
@@ -209,50 +287,109 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     if l_out < 1:
         raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {length}")
     parents = (x, w)
+    product_dtype = out_dtype = np.result_type(x.data, w.data)
     if bias is not None:
         b = as_tensor(bias)
         if b.shape != (c_out, 1):
             raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
         parents = (x, w, b)
+        out_dtype = np.result_type(product_dtype, b.data)
+    # a sample's columns: the larger of its forward and input-gradient columns. The
+    # batch splits into the whole number of blocks nearest to its columns over the
+    # budget, so that no call splits off a small ragged block
+    sample_cols = kernel * max(c_in * l_out, c_out * length)
+    itemsize = max(x.data.itemsize, out_dtype.itemsize)
+    rows = max(1, -(-batch // max(1, round(batch * sample_cols * itemsize / _BLOCK_BYTES))))
 
-    def columns():  # im2col: the windows of the zero-edged input as (B, Cin * K, Lout)
-        xp = x.data
-        if padding:
-            xp = np.empty((batch, c_in, length + 2 * padding), dtype=x.data.dtype)
-            xp[:, :, :padding] = 0
-            xp[:, :, padding + length :] = 0
-            xp[:, :, padding : padding + length] = x.data
-        return _taps(xp, kernel, stride, l_out).reshape(batch, c_in * kernel, l_out)
+    padded = (rows, c_in, length + 2 * padding), x.data.dtype
 
-    data = w.data.reshape(c_out, c_in * kernel) @ columns()
-    if bias is not None:
-        if np.result_type(data, b.data) == data.dtype:
-            data += b.data
-        else:
-            data = data + b.data
+    def column_maker(xp, buf):
+        """A function of (b0, b1) that gives the (b1 - b0, Cin * K, Lout) im2col
+        columns of rows b0:b1, in ``buf`` unless they are a view. With padding, each
+        call rewrites the middle of ``xp``, whose edges stay zero. Use each result
+        before the next call."""
+        if not padding:
+            windows = _taps(x.data, kernel, stride, l_out)
+            return lambda b0, b1: _im2col(windows[b0:b1], buf)
+        xp[:, :, :padding] = 0
+        xp[:, :, padding + length :] = 0
+        windows = _taps(xp, kernel, stride, l_out)
 
-    def input_grad(g):
-        # g[..., j] lands at j * stride + K - 1 - padding of a zero buffer of length
-        # L + K - 1; entries that fall outside it touch no input and are dropped
-        offset = kernel - 1 - padding
-        first = -(-max(0, -offset) // stride)
-        last = min(l_out, -(-(length + padding) // stride))
-        spread = np.zeros((batch, c_out, length + kernel - 1), dtype=g.dtype)
-        if last > first:
-            start = offset + first * stride
-            spread[:, :, start : start + (last - first) * stride : stride] = g[:, :, first:last]
-        cols = _taps(spread, kernel, 1, length, reverse=True).reshape(batch, c_out * kernel, length)
-        gx = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
-        return gx.astype(x.data.dtype, copy=False)
+        def columns(b0, b1):
+            xp[: b1 - b0, :, padding : padding + length] = x.data[b0:b1]
+            return _im2col(windows[: b1 - b0], buf)
+
+        return columns
+
+    w2 = w.data.reshape(c_out, c_in * kernel)
+    data = np.empty((batch, c_out, l_out), dtype=out_dtype)
+    buf, xp, scaled = _scratch(
+        ((rows * sample_cols * x.data.itemsize,), np.uint8), padded, ((rows, c_out, l_out), out_dtype)
+    )
+    if slope is not None:
+        mask = np.empty(data.shape, dtype=bool)
+    columns = column_maker(xp, buf)
+    for b0 in range(0, batch, rows):
+        b1 = min(b0 + rows, batch)
+        block = data[b0:b1]
+        if out_dtype == product_dtype:
+            np.matmul(w2, columns(b0, b1), out=block)
+            if bias is not None:
+                block += b.data
+        else:  # a wider bias promotes, as add does
+            np.add(w2 @ columns(b0, b1), b.data, out=block)
+        if slope is not None:  # leaky_relu's max(pre, slope * pre), on the cached block
+            np.greater_equal(block, 0, out=mask[b0:b1])
+            np.maximum(block, np.multiply(block, slope, out=scaled[: b1 - b0]), out=block)
+
+    # g[..., j] lands at j * stride + K - 1 - padding of a zero buffer of length
+    # L + K - 1; entries that fall outside it touch no input and are dropped
+    offset = kernel - 1 - padding
+    first = -(-max(0, -offset) // stride)
+    last = min(l_out, -(-(length + padding) // stride))
+    start = offset + first * stride
+    stop = start + (last - first) * stride
 
     def backward_fn(g):
         gx = gw = gb = None
+        if slope is not None:
+            g_pre = np.empty(data.shape, dtype=g.dtype)
+        if w.requires_grad:
+            products = np.empty((batch, c_out, c_in * kernel), dtype=np.result_type(g, x.data))
+        # one buffer for both column blocks: a block's columns are used up before
+        # its input-gradient columns are built
+        buf, xp, spread = _scratch(
+            ((rows * sample_cols * max(x.data.itemsize, g.itemsize),), np.uint8), padded,
+            ((rows, c_out, length + kernel - 1), g.dtype),
+        )
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=x.data.dtype)
+            spread.fill(0)
+            windows_t = _taps(spread, kernel, 1, length, reverse=True)
+            w_t = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel)
+        columns = column_maker(xp, buf) if w.requires_grad else None
+        for b0 in range(0, batch, rows):
+            b1 = min(b0 + rows, batch)
+            g_block = g[b0:b1]
+            if slope is not None:
+                g_block = _leaky_grad(mask[b0:b1], g_block, slope, g_pre[b0:b1])
+            if w.requires_grad:
+                np.matmul(g_block, columns(b0, b1).transpose(0, 2, 1), out=products[b0:b1])
+            if x.requires_grad:
+                spread_block = spread[: b1 - b0]  # the entries outside [start, stop) stay zero
+                if last > first:
+                    spread_block[:, :, start:stop:stride] = g_block[:, :, first:last]
+                cols_t = _im2col(windows_t[: b1 - b0], buf)
+                if np.result_type(w_t, cols_t) == gx.dtype:
+                    np.matmul(w_t, cols_t, out=gx[b0:b1])
+                else:  # a wider product is rounded to x's dtype, as astype does
+                    gx[b0:b1] = w_t @ cols_t
+        if slope is not None:
+            g = g_pre
         if bias is not None and b.requires_grad:
             gb = g.sum(axis=0).sum(axis=1, keepdims=True)
-        if w.requires_grad:  # the columns are freed before input_grad allocates its own
-            gw = (g @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        if x.requires_grad:
-            gx = input_grad(g)
+        if w.requires_grad:
+            gw = products.sum(axis=0).reshape(w.shape)
         return (gx, gw, gb)
 
     return _result(data, parents, backward_fn, "conv1d")
@@ -264,17 +401,13 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     Branch-free: ``np.maximum`` forward; backward scales g by max(x >= 0, slope),
     which is exactly slope or 1.
     """
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
+    _check_slope("leaky_relu", slope)
     x = as_tensor(x)
     data = np.multiply(x.data, slope, out=np.empty_like(x.data))
     np.maximum(x.data, data, out=data)
 
     def backward_fn(g):
-        scale = (x.data >= 0).astype(g.dtype)
-        np.maximum(scale, slope, out=scale)
-        scale *= g
-        return (scale,)
+        return (_leaky_grad(x.data >= 0, g, slope, np.empty(x.shape, dtype=g.dtype)),)
 
     return _result(data, (x,), backward_fn, "leaky_relu")
 

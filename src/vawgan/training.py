@@ -13,7 +13,8 @@ every reparameterization draw from the ``RngState`` it is given, so a
 run is reproducible from ``(seed, counter)`` and the optimizer state.
 
 ``frames`` is indexed by speaker id: ``frames[s]`` holds normalized
-(N_s, dim) frames of speaker ``s``. The VAE terms average one batch of
+(N_s, dim) frames of speaker ``s``, N_s >= 1 (an empty pool raises
+``DataError`` before any draw). The VAE terms average one batch of
 every speaker, each reconstructed with its own embedding.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import model as M
 from . import numerics as nm
 from . import objectives as O
-from .errors import as_speaker
+from .errors import DataError, as_speaker
 from .numerics import RngState, Tensor
 
 # decay and epsilon of the RMSProp used by the reference WGAN code
@@ -86,6 +87,13 @@ def rmsprop_update(params: M.ModelParams, mean_square: dict):
         t.data -= LEARNING_RATE * t.grad / (np.sqrt(ms) + RMSPROP_EPS)
 
 
+def _check_pools(frames):
+    """DataError naming the first speaker without frames; called before any draw."""
+    for speaker, pool in enumerate(frames):
+        if len(pool) == 0:
+            raise DataError(f"speaker {speaker} has an empty frame pool")
+
+
 def _draw(pool: np.ndarray, batch_size: int, rng: RngState) -> np.ndarray:
     return pool[rng.integers(pool.shape[0], size=batch_size)]
 
@@ -127,6 +135,7 @@ def warmup_step(
     ``config.alpha`` is not used: this phase is the alpha = 0 baseline.
     The critic is not evaluated, so ``j_wgan`` reads 0.
     """
+    _check_pools(frames)
     params.set_requires_grad(encoder=True, generator=True, critic=False)
     j_lat, j_obs, _ = _vae_terms(params, frames, config.batch_size, rng)
     params.zero_grad()
@@ -146,9 +155,11 @@ def critic_step(
 ) -> float:
     """One critic update: ascend the gap between real target frames and source
     frames converted to the target, then clip every critic weight to
-    ±``clip_bound``. Returns the gap before the update. The speaker ids are
-    checked before any draw, so a rejected call leaves ``rng`` unchanged."""
+    ±``clip_bound``. Returns the gap before the update. The speaker ids and
+    the frame pools are checked before any draw, so a rejected call leaves
+    ``rng`` unchanged."""
     source, target = as_speaker(source, len(frames)), as_speaker(target, len(frames))
+    _check_pools(frames)
     params.set_requires_grad(encoder=False, generator=False, critic=True)
     x = _draw(frames[source], config.batch_size, rng)
     mu, log_var = M.encode(x, params.encoder)
@@ -179,6 +190,7 @@ def joint_step(
     source latent cut from the tape, so W reaches the generator only.
     The gradients of that update stay on the tensors after the step.
     """
+    _check_pools(frames)  # before the critic steps draw, as the speaker ids are
     for _ in range(N_CRITIC):
         critic_step(params, frames, source, target, config, rng, mean_square)
 

@@ -162,6 +162,11 @@ class TestFrameMatrix:
         with pytest.raises(DataError, match="energy holds non-finite"):
             FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, bad])
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_rejects_empty_dimensions(self, shape):
+        with pytest.raises(DataError, match="N x D"):
+            FrameMatrix(0, np.zeros(shape))
+
     def test_speaker_id_must_be_an_integer(self, tmp_path):
         with pytest.raises(DataError, match="speaker_id must be an integer"):
             FrameMatrix(1.5, [[1.0]])
@@ -254,6 +259,14 @@ class TestSynthetic:
             with pytest.raises(UnknownSpeakerError):
                 truth.clean_frame(speaker, 0)
         np.testing.assert_array_equal(truth.clean_frame(np.int64(1), 0), truth.clean_frame(1, 0))
+
+    def test_clean_frame_checks_its_cluster(self):
+        spec = SyntheticSpec(dim=4, num_clusters=2, frames_per_speaker=3)
+        _, truth = ft.generate_synthetic(spec, RngState(1))
+        for cluster in (-1, 2, 1.0, "0", None):  # -1 would wrap to the last cluster
+            with pytest.raises(DataError, match=r"cluster must be an integer in \[0, 2\)"):
+                truth.clean_frame(0, cluster)
+        np.testing.assert_array_equal(truth.clean_frame(0, np.int64(1)), truth.clean_frame(0, 1))
 
     def test_same_seed_bitwise_identical(self):
         spec = SyntheticSpec(frames_per_speaker=30, dim=5)
@@ -403,6 +416,10 @@ class TestNormStatsFormat:
         ft.write_norm_stats(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_rejects_zero_width_stats(self):
+        with pytest.raises(DataError, match="non-empty"):
+            NormStats(mins=[], maxs=[])
+
     def test_bad_magic_distinct_from_bad_version(self, tmp_path):
         path = tmp_path / "stats.vawn"
         ft.write_norm_stats(NormStats(mins=[0.0], maxs=[1.0]), path)
@@ -423,8 +440,9 @@ class TestNormStatsFormat:
 class _Format:
     """One binary format: a valid file made by its writer, and its reader on any bytes."""
 
-    def __init__(self, write, read, value, header_bytes, path):
+    def __init__(self, write, read, value, header_bytes, path, zero_dim):
         self.write, self._read, self.header_bytes, self.path = write, read, header_bytes, path
+        self.zero_dim = zero_dim  # hand-written files whose header declares dim 0
         write(value, path)
         self.valid = path.read_bytes()
 
@@ -438,9 +456,14 @@ def fmt(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("formats") / f"file.{request.param}"
     if request.param == "vawf":  # header: magic, version, speaker, dim, count, flags
         frames = FrameMatrix(3, [[1.0, -2.0], [4.0, 0.5]], energy=[0.0, -1.0])
-        return _Format(ft.write_frames, ft.read_frames, frames, 24, path)
+        zero_dim = [  # dim 0 and count 3, without and with an energy payload
+            ft.FRAME_MAGIC + struct.pack("<5I", ft.FORMAT_VERSION, 3, 0, 3, 0),
+            ft.FRAME_MAGIC + struct.pack("<5I", ft.FORMAT_VERSION, 3, 0, 3, 1) + bytes(12),
+        ]
+        return _Format(ft.write_frames, ft.read_frames, frames, 24, path, zero_dim)
     stats = NormStats(mins=[-1.5, 0.0], maxs=[2.5, 0.0])  # header: magic, version, dim
-    return _Format(ft.write_norm_stats, ft.read_norm_stats, stats, 12, path)
+    zero_dim = [ft.NORM_MAGIC + struct.pack("<2I", ft.FORMAT_VERSION, 0)]
+    return _Format(ft.write_norm_stats, ft.read_norm_stats, stats, 12, path, zero_dim)
 
 
 class TestCorruptFiles:
@@ -450,7 +473,8 @@ class TestCorruptFiles:
         "case, expected",
         [pytest.param(case, expected, id=case) for case, expected in (
             ("appended-byte", TruncatedFileError), ("prefixes", TruncatedFileError),
-            ("bad-magic", BadMagicError), ("bad-version", BadVersionError))],
+            ("bad-magic", BadMagicError), ("bad-version", BadVersionError),
+            ("zero-dim", DataError))],
     )
     def test_named_case(self, fmt, case, expected):
         valid = fmt.valid
@@ -459,6 +483,7 @@ class TestCorruptFiles:
             "prefixes": [valid[:n] for n in range(len(valid))],
             "bad-magic": [b"WRNG" + valid[4:]],
             "bad-version": [valid[:4] + (9).to_bytes(4, "little") + valid[8:]],
+            "zero-dim": fmt.zero_dim,
         }[case]
         for blob in blobs:
             with pytest.raises(expected):

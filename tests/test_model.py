@@ -143,6 +143,12 @@ class TestReparameterize:
         with pytest.raises(ShapeError):
             md.reparameterize(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), RngState(seed=0))
 
+    @pytest.mark.parametrize("eps_shape", [(1, 3), (3,), (2, 1), (3, 2), (1, 2, 3)])
+    def test_eps_must_match_mu_exactly(self, eps_shape):
+        mu, log_var = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="eps"):  # a broadcastable eps would share draws
+            md.reparameterize(mu, log_var, RngState(seed=0), eps=np.ones(eps_shape))
+
 
 class TestGenerator:
     def test_different_speakers_give_different_outputs(self):

@@ -346,6 +346,16 @@ class TestConv1dBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out", [(1, 1), (1, 2), (3, 1), (3, 2)])
     def test_grid_matches_oracle(self, dtype, c_in, c_out):
+        assert self._grid(dtype, c_in, c_out) == 264
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 2), (3, 2)])
+    def test_grid_matches_oracle_one_row_per_block(self, dtype, c_in, c_out, monkeypatch):
+        monkeypatch.setattr(nm, "_BLOCK_BYTES", 1)  # every sample is its own block
+        assert self._grid(dtype, c_in, c_out) == 264
+
+    @staticmethod
+    def _grid(dtype, c_in, c_out):
         rng = np.random.default_rng(43)
         cases = 0
         for length in (1, 2, 5, 6, 11, 24):
@@ -368,7 +378,7 @@ class TestConv1dBitIdentity:
                             assert a.tobytes() == e.tobytes(), (length, kernel, stride, padding)
                         assert xt.data is x and x.tobytes() == before.tobytes()
                         cases += 1
-        assert cases == 264
+        return cases
 
     @pytest.mark.parametrize("padding", [0, 2])
     def test_non_contiguous_input_matches_oracle(self, padding):
@@ -380,6 +390,103 @@ class TestConv1dBitIdentity:
         g = rng.standard_normal(out.shape)
         for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, 2, padding)):
             assert a.tobytes() == e.tobytes()
+
+
+def _rows_per_block(c_in, c_out, length, l_out, kernel, itemsize):
+    """Rows whose columns (the larger of a sample's forward and backward columns) fit
+    in one conv1d block."""
+    return nm._BLOCK_BYTES // (kernel * max(c_in * l_out, c_out * length) * itemsize)
+
+
+class TestConv1dBlocks:
+    """Dim-512 layer shapes over one block, two blocks and three blocks with a shorter
+    last one: the output and all three gradients equal the unblocked oracle's bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 8), (8, 8), (8, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("blocks", ["one", "two", "ragged", "empty"])
+    def test_blocks_match_oracle(self, dtype, c_in, c_out, stride, blocks):
+        length, kernel, padding = 512, 3, 1
+        l_out = (length + 2 * padding - kernel) // stride + 1
+        rows = _rows_per_block(c_in, c_out, length, l_out, kernel, np.dtype(dtype).itemsize)
+        assert rows >= 2  # so that a ragged last block is shorter than a full one
+        batch = {"one": rows, "two": 2 * rows, "ragged": 3 * rows - 1, "empty": 0}[blocks]
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((batch, c_in, length)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+        b = rng.standard_normal((c_out, 1)).astype(dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = nm.conv1d(xt, wt, stride=stride, padding=padding, bias=bt)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, stride, padding)):
+            assert a.dtype == e.dtype and a.shape == e.shape
+            assert a.tobytes() == e.tobytes()
+
+
+    def test_results_do_not_share_the_scratch_arena(self):
+        rng = np.random.default_rng(67)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((5, 3, 16), (4, 3, 3), (4, 1)))
+        out = nm.conv1d(x, w, stride=2, padding=1, bias=b, slope=0.2)
+        grads = out._backward(rng.standard_normal(out.shape))
+        kept = [a.copy() for a in (out.data, *grads)]
+        other = nm.conv1d(Tensor(rng.standard_normal((5, 3, 16)), requires_grad=True), w, padding=1)
+        other._backward(rng.standard_normal(other.shape))  # reuses the arena's buffers
+        for a, k in zip((out.data, *grads), kept):
+            assert not np.shares_memory(a, nm._arena.bytes)
+            assert a.tobytes() == k.tobytes()
+
+
+class TestConv1dSlope:
+    """``conv1d(..., slope=s)`` is ``leaky_relu(conv1d(...), s)`` bit for bit."""
+
+    @staticmethod
+    def _inputs(dtype):
+        # channels 0 and 1 have zero weights, so their pre-activation is 0 + bias:
+        # the bias -0.0 gives +0.0 (a sum that starts at +0.0 cannot give -0.0) and
+        # the bias -tiny gives a negative subnormal, which slope * pre rounds to -0.0
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((7, 3, 12)).astype(dtype)
+        x[0, :, :4] = 0.0
+        w = rng.standard_normal((4, 3, 3)).astype(dtype)
+        w[:2] = 0.0
+        b = rng.standard_normal((4, 1)).astype(dtype)
+        b[0], b[1] = -np.finfo(dtype).smallest_subnormal, -0.0
+        g = rng.standard_normal((7, 4, 12)).astype(dtype)
+        g[:, :, ::5] = 0.0
+        return x, w, b, g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
+    def test_bit_identical_to_separate_leaky_relu(self, dtype, slope, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(nm, "_BLOCK_BYTES", block_bytes)
+        arrays = self._inputs(dtype)
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
+            if fused:
+                out = nm.conv1d(x, w, stride=1, padding=1, bias=b, slope=slope)
+            else:
+                pre = nm.conv1d(x, w, stride=1, padding=1, bias=b)
+                out = nm.leaky_relu(pre, slope=slope)
+            nm.backward(nm.reduce_sum(nm.mul(out, Tensor(arrays[3]))))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        zero, subnormal = pre.data[:, 1], pre.data[:, 0]
+        assert (zero == 0).all() and not np.signbit(zero).any()
+        assert (subnormal < 0).all() and (subnormal > -np.finfo(dtype).tiny).all()
+        if slope < 1:  # the output's sign would pick the wrong branch here
+            assert np.signbit(results[1][0][:, 0]).all() and (results[1][0][:, 0] == 0).all()
+        for fused, separate in zip(*results):
+            assert fused.dtype == separate.dtype and fused.shape == separate.shape
+            assert fused.tobytes() == separate.tobytes()
+
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+    def test_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), slope=slope)
 
 
 class TestConv1dArguments:

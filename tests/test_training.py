@@ -7,7 +7,7 @@ import pytest
 from vawgan import features as F
 from vawgan import model as md
 from vawgan import training as tr
-from vawgan.errors import UnknownSpeakerError
+from vawgan.errors import DataError, UnknownSpeakerError
 from vawgan.model import NetworkConfig
 from vawgan.numerics import RngState
 from vawgan.training import TrainConfig
@@ -93,6 +93,23 @@ class TestSpeakerIds:
         gaps = [tr.critic_step(_params(), frames, s, t, SMALL, RngState(1), {})
                 for s, t in ((0, 1), (np.int64(0), np.int32(1)))]
         assert gaps[0] == gaps[1]
+
+
+class TestEmptyPools:
+    @pytest.mark.parametrize("step", ["warmup", "critic", "joint"])
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_pool_rejected_before_any_draw(self, frames, step, empty):
+        pools = list(frames)
+        pools[empty] = pools[empty][:0]
+        params, rng, state = _params(), RngState(seed=7, counter=4), {}
+        before = {name: t.data.copy() for name, t in params.named_parameters().items()}
+        args = (SMALL, rng, state) if step == "warmup" else (0, 1, SMALL, rng, state)
+        fn = {"warmup": tr.warmup_step, "critic": tr.critic_step, "joint": tr.joint_step}[step]
+        with pytest.raises(DataError, match=f"speaker {empty} has an empty frame pool"):
+            fn(params, pools, *args)
+        assert rng.counter == 4 and state == {}
+        for name, t in params.named_parameters().items():
+            assert np.array_equal(t.data, before[name]), name
 
 
 class TestJointStep:
