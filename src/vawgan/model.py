@@ -4,11 +4,18 @@ The encoder maps normalized frames to a diagonal-Gaussian posterior
 (mu, log-variance) over the phonetic content z; it never sees a speaker
 id, which the API makes unrepresentable. The generator blends z with a
 learned speaker embedding row and decodes back to frame space through
-upsample+conv stages ending in tanh, so outputs stay in (-1, 1). The
-critic scores frames with an unbounded real number (no sigmoid); with
-its weights clipped it is Lipschitz, and `critic_lipschitz_bound`
-certifies a constant from per-layer operator norms: each conv's from its
+upsample+conv stages ending in tanh, so outputs stay in (-1, 1). Each
+stage's nearest-neighbour upsampling happens inside ``conv1d``
+(``upsample``), which never builds the upsampled input. The critic
+scores frames with an unbounded real number (no sigmoid); with its
+weights clipped it is Lipschitz, and `critic_lipschitz_bound` certifies
+a constant from per-layer operator norms: each conv's from its
 polyphase symbol, the dense head's from its SVD.
+
+A NaN or inf in any conv block, head or output layer raises
+``NumericError`` naming that layer. The generator's output layer is
+checked before tanh and the log-variance head before its clamp, which
+would otherwise turn an inf into a finite number.
 
 Layer counts, widths and strides are config-driven defaults sized for
 CPU training, not a reproduction of any particular architecture; the
@@ -239,10 +246,11 @@ def _ensure_finite(t: Tensor, where: str):
         raise NumericError(f"non-finite activation in {where}")
 
 
-def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str):
+def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str,
+                upsample: int = 1):
     h = nm.conv1d(
         h, tensors[f"conv{idx}.w"], stride=stride, padding=config.padding,
-        bias=tensors[f"conv{idx}.b"], slope=config.leaky_slope,
+        bias=tensors[f"conv{idx}.b"], slope=config.leaky_slope, upsample=upsample,
     )
     _ensure_finite(h, f"{net} conv layer {idx}")
     return h
@@ -267,10 +275,9 @@ def encode(x, params: EncoderParams):
     h = _conv_trunk(x, params, cfg.encoder_strides, "encode", "encoder")
     mu = nm.add(nm.matmul(h, params.tensors["mu.w"]), params.tensors["mu.b"])
     log_var = nm.add(nm.matmul(h, params.tensors["logvar.w"]), params.tensors["logvar.b"])
-    log_var = nm.clip(log_var, -cfg.logvar_bound, cfg.logvar_bound)
     _ensure_finite(mu, "encoder mu head")
-    _ensure_finite(log_var, "encoder logvar head")
-    return mu, log_var
+    _ensure_finite(log_var, "encoder logvar head")  # before the clip turns an inf into the bound
+    return mu, nm.clip(log_var, -cfg.logvar_bound, cfg.logvar_bound)
 
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> LatentBatch:
@@ -289,21 +296,6 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
     std = nm.exp(nm.mul(log_var, 0.5))
     z = nm.add(mu, nm.mul(std, Tensor(eps)))
     return LatentBatch(z=z, eps=eps)
-
-
-def _upsample(h: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbour upsampling: each position repeated ``factor`` times.
-
-    Concatenating ``factor`` copies along a new trailing axis gives a
-    contiguous array, so the final reshape is a view; backward splits the
-    gradient into ``factor`` views, which the engine adds in order.
-    """
-    if factor == 1:
-        return h
-    b, c, length = h.shape
-    h = nm.reshape(h, (b, c, length, 1))
-    h = nm.concat([h] * factor, axis=3)
-    return nm.reshape(h, (b, c, length * factor))
 
 
 def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
@@ -328,10 +320,11 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
 
     h = nm.reshape(h, (batch, cfg.generator_channels[0], cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
-        h = _conv_block(_upsample(h, factor), params.tensors, i, 1, cfg, "generator")
+        h = _conv_block(h, params.tensors, i, 1, cfg, "generator", upsample=factor)
     h = nm.conv1d(
         h, params.tensors["out.w"], stride=1, padding=cfg.padding, bias=params.tensors["out.b"]
     )
+    _ensure_finite(h, "generator output layer")  # tanh would turn an inf into ±1
     h = nm.tanh(h)
     return nm.reshape(h, (batch, cfg.dim))
 
@@ -340,6 +333,7 @@ def criticize(x, params: CriticParams) -> Tensor:
     """Unbounded real score per frame; higher means more target-like."""
     h = _conv_trunk(x, params, params.config.critic_strides, "criticize", "critic")
     h = nm.add(nm.matmul(h, params.tensors["out.w"]), params.tensors["out.b"])
+    _ensure_finite(h, "critic output head")
     return nm.reshape(h, (h.shape[0],))
 
 

@@ -20,15 +20,19 @@ channels, length). It works over the batch in blocks of rows whose columns
 take about ``_BLOCK_BYTES``, so each block's columns and outputs are still in
 cache for the matmul, the in-place bias and the optional leaky-ReLU
 (``slope``) that follow. Every column block is one read-only strided view,
-``_taps``, of a zero-edged buffer, copied into a column buffer. Buffers
-that do not outlive a call come from one per-thread arena, ``_scratch``, so
-that they do not fault in fresh pages on every call. The input
-gradient is a transposed convolution: im2col of the stride-spread output
-gradient with the taps reversed, then one matmul. With ``slope`` the tape
-keeps the bool mask of the non-negative pre-activations, not the
-pre-activation. Each sample goes through the same matmuls as without
-blocks, and the weight gradient's per-sample products are summed over the
-whole batch at the end, so blocking changes no bit.
+``_taps``, of a zero-edged buffer, copied into a column buffer. With
+``upsample`` f, conv1d convolves the nearest-neighbour upsampled input
+(each position repeated f times) without building it: the zero-edged
+buffer is filled one phase at a time. Buffers that do not outlive a call
+come from one per-thread arena, ``_scratch``, so that they do not fault in
+fresh pages on every call. The input gradient is a transposed convolution:
+im2col of the stride-spread output gradient with the taps reversed, then
+one matmul; with upsampling its f phases are then added in order. With
+``slope`` a taped result keeps the bool mask of the non-negative
+pre-activations, not the pre-activation; a result off the tape keeps
+none. Each sample goes through the same matmuls as without blocks, and the
+weight gradient's per-sample products are summed over the whole batch at
+the end, so blocking changes no bit.
 
 All primitives are pure: inputs are never mutated, and identical inputs
 give bitwise-identical outputs on one platform. Backward closures re-read
@@ -231,22 +235,27 @@ def _leaky_grad(above, g, slope, out) -> np.ndarray:
     return out
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Tensor:
-    """1-D convolution along the last (feature) axis, plus an optional bias and an
-    optional leaky-ReLU.
+def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsample: int = 1) -> Tensor:
+    """1-D convolution along the last (feature) axis of the nearest-neighbour
+    upsampled input, plus an optional bias and an optional leaky-ReLU.
 
     x: (batch, in_channels, length), w: (out_channels, in_channels, kernel),
-    bias: (out_channels, 1). ``stride`` >= 1 and ``padding`` >= 0 are integers
-    (NumPy integers pass). Zero padding; output length
-    (L + 2p - K) // stride + 1. The result is C-contiguous, in the promoted
-    dtype of x and w (and of the bias), as matmul and add give it.
+    bias: (out_channels, 1). ``stride`` >= 1, ``padding`` >= 0 and
+    ``upsample`` >= 1 are integers (NumPy integers pass). The input is
+    convolved as if each position were repeated ``upsample`` times, to length
+    U = upsample * L. Zero padding; output length (U + 2p - K) // stride + 1.
+    The result is C-contiguous, in the promoted dtype of x and w (and of the
+    bias), as matmul and add give it.
 
     The batch is taken in blocks of rows, as many as the whole number nearest to
     its im2col columns (forward or backward, whichever is larger) over
     ``_BLOCK_BYTES``, and at least one, so each block's columns are still in cache
     when its matmul reads them. Per block: the rows of ``x.data`` are copied into
     the middle of one reused buffer whose ``padding`` columns at each edge stay
-    zero (no buffer when padding is 0), a strided view of it gives the
+    zero (no buffer when padding is 0 and upsample 1), once per phase k into
+    the positions k, k + upsample, ... (one broadcast copy over the phases,
+    whose innermost loop is only ``upsample`` long, measured 4x slower),
+    a strided view of it gives the
     (b, Cin, K, Lout) windows, which are copied into the columns (or viewed as
     them, where reshape would give a view), and one matmul writes the block's
     rows of the output; the bias is added in place. Every sample goes through
@@ -256,8 +265,9 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
 
     ``slope`` in [0, 1] applies ``leaky_relu`` to each block while it is in
     cache; the result is bit for bit ``leaky_relu(conv1d(x, w, ..., bias), slope)``.
-    The tape then keeps the bool mask ``pre >= 0`` of the pre-activation, not
-    the pre-activation itself. The mask is not read from the output's sign: a
+    When the result goes on the tape (an input requires grad), the tape keeps the
+    bool mask ``pre >= 0`` of the pre-activation, not the pre-activation itself;
+    off the tape no mask is made. The mask is not read from the output's sign: a
     negative subnormal pre-activation can give ``slope * pre == -0.0``.
 
     Backward, per block of rows: the weight gradient's per-sample products go
@@ -266,13 +276,19 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
     convolution (Dumoulin & Visin 2016, arXiv:1603.07285): g spread at the
     stride into a zero buffer, then the same strided view of that buffer with
     the taps reversed, and one matmul with the transposed kernel into the
-    block's rows of gx. The tape keeps ``x``, not the columns, and backward
+    block's rows of gx. With upsampling that matmul writes the U-long gradient
+    into a scratch buffer, and the block's rows of gx are its phase 0 + phase 1,
+    then += each further phase: bit for bit the sum the engine formed over the
+    copies of a reshape, ``concat`` of ``upsample`` copies on a new trailing
+    axis, reshape. The tape keeps ``x``, not the columns, and backward
     rebuilds them from ``x.data``: do not mutate ``x`` before ``backward``.
     """
     x, w = as_tensor(x), as_tensor(w)
-    stride, padding = operator.index(stride), operator.index(padding)
+    stride, padding, upsample = operator.index(stride), operator.index(padding), operator.index(upsample)
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
+    if upsample < 1:
+        raise ShapeError(f"conv1d: upsample must be >= 1, got {upsample}")
     if padding < 0:
         raise ShapeError(f"conv1d: padding must be >= 0, got {padding}")
     if slope is not None:
@@ -283,9 +299,10 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
     c_out, c_in_w, kernel = w.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: channel mismatch, input {c_in} vs kernel {c_in_w}")
-    l_out = (length + 2 * padding - kernel) // stride + 1
+    up_len = length * upsample
+    l_out = (up_len + 2 * padding - kernel) // stride + 1
     if l_out < 1:
-        raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {length}")
+        raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {up_len}")
     parents = (x, w)
     product_dtype = out_dtype = np.result_type(x.data, w.data)
     if bias is not None:
@@ -297,26 +314,28 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
     # a sample's columns: the larger of its forward and input-gradient columns. The
     # batch splits into the whole number of blocks nearest to its columns over the
     # budget, so that no call splits off a small ragged block
-    sample_cols = kernel * max(c_in * l_out, c_out * length)
+    sample_cols = kernel * max(c_in * l_out, c_out * up_len)
     itemsize = max(x.data.itemsize, out_dtype.itemsize)
     rows = max(1, -(-batch // max(1, round(batch * sample_cols * itemsize / _BLOCK_BYTES))))
 
-    padded = (rows, c_in, length + 2 * padding), x.data.dtype
+    padded = (rows, c_in, up_len + 2 * padding), x.data.dtype
 
     def column_maker(xp, buf):
         """A function of (b0, b1) that gives the (b1 - b0, Cin * K, Lout) im2col
-        columns of rows b0:b1, in ``buf`` unless they are a view. With padding, each
-        call rewrites the middle of ``xp``, whose edges stay zero. Use each result
-        before the next call."""
-        if not padding:
+        columns of rows b0:b1, in ``buf`` unless they are a view. With padding or
+        upsampling, each call rewrites the middle of ``xp``, whose edges stay zero,
+        one phase of the upsampled rows at a time. Use each result before the next call."""
+        if not padding and upsample == 1:
             windows = _taps(x.data, kernel, stride, l_out)
             return lambda b0, b1: _im2col(windows[b0:b1], buf)
         xp[:, :, :padding] = 0
-        xp[:, :, padding + length :] = 0
+        xp[:, :, padding + up_len :] = 0
         windows = _taps(xp, kernel, stride, l_out)
+        phases = xp[:, :, padding : padding + up_len].reshape(rows, c_in, length, upsample)
 
         def columns(b0, b1):
-            xp[: b1 - b0, :, padding : padding + length] = x.data[b0:b1]
+            for k in range(upsample):  # a broadcast over k would loop upsample long innermost
+                phases[: b1 - b0, :, :, k] = x.data[b0:b1]
             return _im2col(windows[: b1 - b0], buf)
 
         return columns
@@ -326,7 +345,8 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
     buf, xp, scaled = _scratch(
         ((rows * sample_cols * x.data.itemsize,), np.uint8), padded, ((rows, c_out, l_out), out_dtype)
     )
-    if slope is not None:
+    taped = any(p.requires_grad for p in parents)
+    if slope is not None and taped:  # only backward reads the mask
         mask = np.empty(data.shape, dtype=bool)
     columns = column_maker(xp, buf)
     for b0 in range(0, batch, rows):
@@ -339,14 +359,15 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
         else:  # a wider bias promotes, as add does
             np.add(w2 @ columns(b0, b1), b.data, out=block)
         if slope is not None:  # leaky_relu's max(pre, slope * pre), on the cached block
-            np.greater_equal(block, 0, out=mask[b0:b1])
+            if taped:
+                np.greater_equal(block, 0, out=mask[b0:b1])
             np.maximum(block, np.multiply(block, slope, out=scaled[: b1 - b0]), out=block)
 
     # g[..., j] lands at j * stride + K - 1 - padding of a zero buffer of length
-    # L + K - 1; entries that fall outside it touch no input and are dropped
+    # upsample * L + K - 1; entries that fall outside it touch no input and are dropped
     offset = kernel - 1 - padding
     first = -(-max(0, -offset) // stride)
-    last = min(l_out, -(-(length + padding) // stride))
+    last = min(l_out, -(-(up_len + padding) // stride))
     start = offset + first * stride
     stop = start + (last - first) * stride
 
@@ -358,14 +379,15 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
             products = np.empty((batch, c_out, c_in * kernel), dtype=np.result_type(g, x.data))
         # one buffer for both column blocks: a block's columns are used up before
         # its input-gradient columns are built
-        buf, xp, spread = _scratch(
+        buf, xp, spread, up_gx = _scratch(
             ((rows * sample_cols * max(x.data.itemsize, g.itemsize),), np.uint8), padded,
-            ((rows, c_out, length + kernel - 1), g.dtype),
+            ((rows, c_out, up_len + kernel - 1), g.dtype),
+            ((rows, c_in, up_len if upsample > 1 else 0), x.data.dtype),
         )
         if x.requires_grad:
             gx = np.empty(x.shape, dtype=x.data.dtype)
             spread.fill(0)
-            windows_t = _taps(spread, kernel, 1, length, reverse=True)
+            windows_t = _taps(spread, kernel, 1, up_len, reverse=True)
             w_t = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel)
         columns = column_maker(xp, buf) if w.requires_grad else None
         for b0 in range(0, batch, rows):
@@ -380,10 +402,16 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None) -> Te
                 if last > first:
                     spread_block[:, :, start:stop:stride] = g_block[:, :, first:last]
                 cols_t = _im2col(windows_t[: b1 - b0], buf)
+                gx_block = gx[b0:b1] if upsample == 1 else up_gx[: b1 - b0]
                 if np.result_type(w_t, cols_t) == gx.dtype:
-                    np.matmul(w_t, cols_t, out=gx[b0:b1])
+                    np.matmul(w_t, cols_t, out=gx_block)
                 else:  # a wider product is rounded to x's dtype, as astype does
-                    gx[b0:b1] = w_t @ cols_t
+                    gx_block[...] = w_t @ cols_t
+                if upsample > 1:  # phase 0 + phase 1, then += phase k, as the engine summed copies
+                    phases = gx_block.reshape(b1 - b0, c_in, length, upsample)
+                    np.add(phases[..., 0], phases[..., 1], out=gx[b0:b1])
+                    for k in range(2, upsample):
+                        gx[b0:b1] += phases[..., k]
         if slope is not None:
             g = g_pre
         if bias is not None and b.requires_grad:

@@ -1,6 +1,5 @@
 import json
 import struct
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -20,21 +19,6 @@ from vawgan.errors import (
 )
 from vawgan.features import FrameMatrix, NormStats, SyntheticSpec
 from vawgan.numerics import RngState
-
-
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation of fn() above what was live when it started."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
 
 
 def _random_corpus(seed=0, n=50, dim=5):
@@ -104,10 +88,10 @@ class TestNormalizer:
         assert stats.mins.tobytes() == stacked.min(axis=0).tobytes()
         assert stats.maxs.tobytes() == stacked.max(axis=0).tobytes()
 
-    def test_fit_does_not_copy_the_corpus(self):
+    def test_fit_does_not_copy_the_corpus(self, peak_bytes):
         corpus, _ = ft.generate_synthetic(SyntheticSpec(dim=256, frames_per_speaker=4096), RngState(3))
         corpus_bytes = sum(fm.frames.nbytes for fm in corpus)
-        assert _peak_bytes(lambda: ft.fit_normalizer(corpus)) <= 0.1 * corpus_bytes
+        assert peak_bytes(lambda: ft.fit_normalizer(corpus)) <= 0.1 * corpus_bytes
 
     def test_normalize_and_denormalize_leave_their_input_unchanged(self):
         stats = NormStats(mins=[-1.0, 2.0, 0.0], maxs=[3.0, 2.0, 1.0])  # dimension 1 is degenerate
@@ -236,10 +220,10 @@ class TestSynthetic:
             for row, cluster in zip(fm.frames, truth.assignments[m]):
                 np.testing.assert_allclose(row, truth.clean_frame(m, cluster), rtol=1e-6, atol=1e-9)
 
-    def test_generation_peak_memory(self):
+    def test_generation_peak_memory(self, peak_bytes):
         spec = SyntheticSpec(dim=256, frames_per_speaker=4096)
         speaker_block = spec.frames_per_speaker * spec.dim * np.dtype(np.float64).itemsize
-        assert _peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 3 * speaker_block
+        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 3 * speaker_block
 
     def test_ideal_conversion_reproduces_target_cluster(self):
         spec = SyntheticSpec(num_clusters=4, noise_scale=0.0, frames_per_speaker=40, dim=8)

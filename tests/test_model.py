@@ -7,6 +7,7 @@ import pytest
 from vawgan import model as md
 from vawgan import numerics as nm
 from vawgan import objectives as O
+from vawgan import training as tr
 from vawgan.errors import DataError, NumericError, ShapeError, UnknownSpeakerError
 from vawgan.features import SyntheticSpec
 from vawgan.model import NetworkConfig
@@ -200,6 +201,19 @@ class TestGenerator:
 
         assert nm.grad_check(fn, params.tensors) < 1e-4
 
+    def test_no_tape_generate_keeps_no_upsampled_copy(self, peak_bytes):
+        # with no tape the last conv block holds its input, its output and the finiteness
+        # check's bool copy: about 1.75x its output. An upsampled copy of the input
+        # would add 1x
+        config = NetworkConfig(dim=256)
+        params = md.init_generator(config, RngState(seed=1))
+        for t in params.tensors.values():
+            t.requires_grad = False
+        z = np.random.default_rng(2).standard_normal((64, config.z_dim)).astype(np.float32)
+        md.generate(z, 1, params)  # grows conv1d's scratch arena to its size
+        block_bytes = 64 * config.generator_channels[-1] * config.dim * 4
+        assert peak_bytes(lambda: md.generate(z, 1, params)) <= 1.9 * block_bytes
+
     def test_unknown_speaker_rejected(self):
         params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
         with pytest.raises(UnknownSpeakerError):
@@ -274,6 +288,46 @@ class TestCritic:
         params.tensors["out.b"].data[:] = 50.0
         scores = md.criticize(np.zeros((2, 16)), params)
         assert scores.data.max() > 1.0  # no squashing nonlinearity at the output
+
+
+class TestNonFiniteOutputs:
+    """A NaN or inf planted in an output layer raises NumericError naming it, both
+    from the network's own call and through ``critic_step``: the critic's score is
+    unbounded, tanh turns an inf into ±1 and the clip an inf into the bound."""
+
+    # (network, tensor, planted value, layer named)
+    SITES = [
+        ("critic", "out.w", np.nan, "critic output head"),
+        ("generator", "out.w", np.inf, "generator output layer"),
+        ("encoder", "logvar.b", np.inf, "encoder logvar head"),
+    ]
+
+    @staticmethod
+    def _planted(net, name, value):
+        config = NetworkConfig(dim=24)
+        params = md.init_model(config, RngState(seed=0))
+        getattr(params, net).tensors[name].data.flat[0] = value
+        rng = np.random.default_rng(1)
+        frames = [_frames(rng, 16, config.dim).astype(np.float32) for _ in range(2)]
+        return params, frames
+
+    @pytest.mark.parametrize("net,name,value,layer", SITES)
+    def test_direct_call_names_layer(self, net, name, value, layer):
+        params, frames = self._planted(net, name, value)
+        calls = {
+            "critic": lambda: md.criticize(frames[0], params.critic),
+            "generator": lambda: md.generate(np.ones((4, params.generator.config.z_dim)), 1,
+                                             params.generator),
+            "encoder": lambda: md.encode(frames[0], params.encoder),
+        }
+        with pytest.raises(NumericError, match=layer), np.errstate(invalid="ignore"):
+            calls[net]()
+
+    @pytest.mark.parametrize("net,name,value,layer", SITES)
+    def test_critic_step_names_layer(self, net, name, value, layer):
+        params, frames = self._planted(net, name, value)
+        with pytest.raises(NumericError, match=layer), np.errstate(invalid="ignore"):
+            tr.critic_step(params, frames, 0, 1, tr.TrainConfig(batch_size=8), RngState(2), {})
 
 
 class TestConfigValidation:

@@ -195,6 +195,15 @@ PRIMITIVE_CASES = {
         ("x11", "k"),
         lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x11"], p["k"], stride=4, padding=1))),
     ),
+    "conv1d_upsample2": (
+        ("x3", "k", "bias"),
+        lambda p: nm.reduce_sum(nm.square(
+            nm.conv1d(p["x3"], p["k"], padding=1, bias=p["bias"], slope=0.2, upsample=2))),
+    ),
+    "conv1d_upsample3_unpadded": (
+        ("x3", "k"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=2, upsample=3))),
+    ),
     "add": (("a", "row"), lambda p: nm.reduce_sum(nm.add(p["a"], p["row"]))),
     "sub": (("a", "row"), lambda p: nm.reduce_sum(nm.sub(p["a"], p["row"]))),
     "mul": (("a", "row"), lambda p: nm.reduce_sum(nm.mul(p["a"], p["row"]))),
@@ -337,6 +346,54 @@ def _conv1d_oracle(x, w, b, g, stride, padding):
     cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
     gx = w.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
     return data, gx.astype(x.dtype, copy=False), gw, gb
+
+
+def _upsample_oracle(h, factor):
+    """Nearest-neighbour upsampling as the generator once built it on the tape:
+    reshape, concat of ``factor`` copies on a new trailing axis, reshape; the engine
+    sums the copies' gradients in order. An oracle for conv1d's ``upsample`` only."""
+    if factor == 1:
+        return h
+    b, c, length = h.shape
+    h = nm.reshape(h, (b, c, length, 1))
+    h = nm.concat([h] * factor, axis=3)
+    return nm.reshape(h, (b, c, length * factor))
+
+
+class TestConv1dUpsample:
+    """``conv1d(x, ..., upsample=f)`` is ``conv1d(_upsample_oracle(x, f), ...)`` bit
+    for bit, in the output and in all three gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
+    def test_grid_matches_concat_oracle(self, dtype, c_in, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(nm, "_BLOCK_BYTES", block_bytes)  # every sample is its own block
+        rng = np.random.default_rng(71)
+        cases = 0
+        for factor in (1, 2, 3):
+            for padding in (0, 1, 2):
+                for stride in (1, 2):
+                    for slope in (None, 0.2):
+                        arrays = [rng.standard_normal(s).astype(dtype)
+                                  for s in ((4, c_in, 5), (2, c_in, 3), (2, 1))]
+                        proj = rng.standard_normal((4, 2, (5 * factor + 2 * padding - 3) // stride + 1))
+                        results = []
+                        for fused in (True, False):
+                            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+                            kwargs = dict(stride=stride, padding=padding, bias=b, slope=slope)
+                            if fused:
+                                out = nm.conv1d(x, w, upsample=factor, **kwargs)
+                            else:
+                                out = nm.conv1d(_upsample_oracle(x, factor), w, **kwargs)
+                            nm.backward(nm.reduce_sum(nm.mul(out, Tensor(proj.astype(dtype)))))
+                            results.append([out.data, x.grad, w.grad, b.grad])
+                        for a, e in zip(*results):
+                            assert a.dtype == e.dtype and a.shape == e.shape
+                            assert a.tobytes() == e.tobytes(), (factor, padding, stride, slope)
+                        cases += 1
+        assert cases == 36
 
 
 class TestConv1dBitIdentity:
@@ -483,6 +540,30 @@ class TestConv1dSlope:
             assert fused.dtype == separate.dtype and fused.shape == separate.shape
             assert fused.tobytes() == separate.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("upsample", [1, 2])
+    def test_no_tape_forward_matches_taped(self, dtype, slope, upsample):
+        arrays = self._inputs(dtype)[:3]
+        outs = []
+        for taped in (True, False):
+            x, w, b = (Tensor(a, requires_grad=taped) for a in arrays)
+            outs.append(nm.conv1d(x, w, padding=1, bias=b, slope=slope, upsample=upsample))
+        assert outs[1]._backward is None and not outs[1].requires_grad
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_tape_forward_allocates_no_mask(self, dtype, peak_bytes):
+        rng = np.random.default_rng(73)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(dtype))
+                   for s in ((64, 8, 128), (8, 8, 3), (8, 1)))
+
+        def call():
+            return nm.conv1d(x, w, padding=1, bias=b, slope=0.2, upsample=2)
+
+        out_bytes = call().data.nbytes  # the first call also grows the scratch arena
+        assert peak_bytes(call) <= 1.1 * out_bytes  # a bool mask would add 1 / itemsize
+
     @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
     def test_rejects_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match="slope"):
@@ -494,7 +575,13 @@ class TestConv1dArguments:
         with pytest.raises(ShapeError, match="padding"):
             nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), padding=-1)
 
-    @pytest.mark.parametrize("knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}])
+    def test_zero_upsample_rejected(self):
+        with pytest.raises(ShapeError, match="upsample"):
+            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), upsample=0)
+
+    @pytest.mark.parametrize(
+        "knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}, {"upsample": 1.5}]
+    )
     def test_non_integer_stride_or_padding_rejected(self, knob):
         with pytest.raises(TypeError):
             nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), **knob)
@@ -502,8 +589,8 @@ class TestConv1dArguments:
     def test_numpy_integers_accepted(self):
         rng = np.random.default_rng(53)
         x, w = Tensor(rng.standard_normal((2, 2, 9))), Tensor(rng.standard_normal((4, 2, 3)))
-        ref = nm.conv1d(x, w, stride=2, padding=1).data
-        got = nm.conv1d(x, w, stride=np.int64(2), padding=np.int32(1)).data
+        ref = nm.conv1d(x, w, stride=2, padding=1, upsample=2).data
+        got = nm.conv1d(x, w, stride=np.int64(2), padding=np.int32(1), upsample=np.int16(2)).data
         assert got.tobytes() == ref.tobytes()
 
 
