@@ -12,7 +12,7 @@ import operator
 
 
 class ShapeError(ValueError):
-    """Inconsistent tensor shapes or a non-scalar differentiation target."""
+    """Inconsistent tensor shapes or dtypes, or a non-scalar differentiation target."""
 
 
 class DataError(Exception):

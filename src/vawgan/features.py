@@ -341,9 +341,13 @@ class _Decoder:
             raise TruncatedFileError(f"trailing bytes after {self.label} payload")
 
 
-def _encode(magic: bytes, header: tuple, *arrays) -> bytes:
+def _encode(magic: bytes, header: dict, *arrays) -> bytes:
+    """Magic, version, the u32 ``header`` values in order, then each array as <f4."""
+    for name, value in header.items():
+        if not 0 <= value < 2**32:
+            raise DataError(f"{name} {value} does not fit the file's u32 header field")
     return b"".join(
-        [magic, struct.pack(f"<{len(header) + 1}I", FORMAT_VERSION, *header)]
+        [magic, struct.pack(f"<{len(header) + 1}I", FORMAT_VERSION, *header.values())]
         + [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays]
     )
 
@@ -352,7 +356,8 @@ def write_frames(fm: FrameMatrix, path):
     """Write a frame file: magic VAWF, version, speaker, dim, count, flags, payload."""
     flags = 1 if fm.energy is not None else 0
     arrays = (fm.frames,) if fm.energy is None else (fm.frames, fm.energy)
-    blob = _encode(FRAME_MAGIC, (fm.speaker_id, fm.dim, fm.num_frames, flags), *arrays)
+    header = {"speaker_id": fm.speaker_id, "dim": fm.dim, "num_frames": fm.num_frames, "flags": flags}
+    blob = _encode(FRAME_MAGIC, header, *arrays)
     Path(path).write_bytes(blob)
 
 
@@ -368,7 +373,7 @@ def read_frames(path) -> FrameMatrix:
 
 
 def write_norm_stats(s: NormStats, path):
-    Path(path).write_bytes(_encode(NORM_MAGIC, (s.dim,), s.mins, s.maxs))
+    Path(path).write_bytes(_encode(NORM_MAGIC, {"dim": s.dim}, s.mins, s.maxs))
 
 
 def read_norm_stats(path) -> NormStats:

@@ -12,6 +12,11 @@ weights clipped it is Lipschitz, and `critic_lipschitz_bound` certifies
 a constant from per-layer operator norms: each conv's from its
 polyphase symbol, the dense head's from its SVD.
 
+Array inputs to ``encode``, ``criticize`` and ``generate`` are cast to
+the parameters' dtype, so a float32 model given float64 frames runs in
+float32; a ``Tensor`` input passes through as it is, and ``conv1d``
+rejects one of another dtype.
+
 A NaN or inf in any conv block, head or output layer raises
 ``NumericError`` naming that layer. The generator's output layer is
 checked before tanh and the log-variance head before its clamp, which
@@ -129,8 +134,10 @@ class CriticParams:
     clip_bound: float = 0.01
 
     def __post_init__(self):
-        if not self.clip_bound > 0:  # negated comparison so that NaN is rejected too
-            raise DataError(f"clip_bound must be positive, got {self.clip_bound}")
+        # chained comparison, so that NaN and infinity are rejected too: an infinite
+        # bound would switch the Lipschitz constraint off
+        if not 0 < self.clip_bound < math.inf:
+            raise DataError(f"clip_bound must be positive and finite, got {self.clip_bound}")
 
 
 @dataclass
@@ -246,6 +253,11 @@ def _ensure_finite(t: Tensor, where: str):
         raise NumericError(f"non-finite activation in {where}")
 
 
+def _as_input(x, like: Tensor) -> Tensor:
+    """An array as a constant of ``like``'s dtype; a Tensor passes through unchanged."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
+
+
 def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str,
                 upsample: int = 1):
     h = nm.conv1d(
@@ -259,7 +271,7 @@ def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig
 def _conv_trunk(x, params, strides, caller: str, net: str) -> Tensor:
     """(batch, dim) frames through a strided conv stack, flattened to (batch, C * L)."""
     config = params.config
-    x = nm.as_tensor(x)
+    x = _as_input(x, params.tensors["conv0.w"])
     if x.data.ndim != 2 or x.shape[1] != config.dim:
         raise ShapeError(f"{caller}: expected (batch, {config.dim}) frames, got {x.shape}")
     batch = x.shape[0]
@@ -301,7 +313,7 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
 def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     """Decode latent content conditioned on a speaker; output in (-1, 1)."""
     cfg = params.config
-    z = nm.as_tensor(z)
+    z = _as_input(z, params.tensors["merge.w"])
     if z.data.ndim != 2 or z.shape[1] != cfg.z_dim:
         raise ShapeError(f"generate: expected (batch, {cfg.z_dim}) latents, got {z.shape}")
     n_speakers = params.num_speakers

@@ -12,6 +12,9 @@ exp, log, square, clip, reduce-sum/mean, broadcast, concat, reshape.
 Tests verify each against finite differences at 64-bit precision. Outputs
 follow NumPy promotion, and a scalar operand of add/sub/mul takes the
 tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
+conv1d takes one dtype: x, w and the bias must share it. ``backward``
+gives each gradient its tensor's dtype, so every ``.grad``, and every
+gradient a primitive's backward receives, has the dtype of that tensor.
 add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
 log, square, clip and the two reductions share one one-input helper, ``_unary``.
 
@@ -24,13 +27,13 @@ cache for the matmul, the in-place bias and the optional leaky-ReLU
 ``upsample`` f, conv1d convolves the nearest-neighbour upsampled input
 (each position repeated f times) without building it: the zero-edged
 buffer is filled one phase at a time. Buffers that do not outlive a call
-come from one per-thread arena, ``_scratch``, so that they do not fault in
-fresh pages on every call. The input gradient is a transposed convolution:
-im2col of the stride-spread output gradient with the taps reversed, then
-one matmul; with upsampling its f phases are then added in order. With
-``slope`` a taped result keeps the bool mask of the non-negative
-pre-activations, not the pre-activation; a result off the tape keeps
-none. Each sample goes through the same matmuls as without blocks, and the
+come from a per-thread arena of the call's dtype, ``_scratch``, so that
+they do not fault in fresh pages on every call. The input gradient is a
+transposed convolution: im2col of the stride-spread output gradient with
+the taps reversed, then one matmul; with upsampling its f phases are then
+added in order. With ``slope`` a taped result keeps the bool mask of the
+non-negative pre-activations, not the pre-activation; a result off the
+tape keeps none. Each sample goes through the same matmuls as without blocks, and the
 weight gradient's per-sample products are summed over the whole batch at
 the end, so blocking changes no bit.
 
@@ -196,28 +199,31 @@ def _taps(buf, kernel: int, stride: int, l_out: int, reverse: bool = False) -> n
 _arena = threading.local()
 
 
-def _scratch(*specs) -> list:
-    """One array per (shape, dtype) spec, carved from a per-thread byte arena that
-    only grows. conv1d's per-call buffers thus reuse memory that is already mapped
-    instead of faulting in fresh pages on every call; they never leave the call."""
+def _scratch(dtype, *shapes) -> list:
+    """One array of ``dtype`` per shape, carved at 64-byte offsets from a per-thread
+    arena of that dtype that only grows. conv1d's per-call buffers thus reuse memory
+    that is already mapped instead of faulting in fresh pages on every call; they
+    never leave the call."""
+    align = 64 // dtype.itemsize
     offsets, end = [], 0
-    for shape, dtype in specs:
+    for shape in shapes:
         offsets.append(end)
-        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-    arena = getattr(_arena, "bytes", None)
+        end += -(-math.prod(shape) // align) * align
+    arenas = vars(_arena)  # this thread's arenas, keyed by dtype
+    arena = arenas.get(dtype)
     if arena is None or arena.size < end:
-        arena = _arena.bytes = np.empty(end, dtype=np.uint8)
-    return [np.ndarray(shape, dtype, buffer=arena, offset=offset)
-            for (shape, dtype), offset in zip(specs, offsets)]
+        arena = arenas[dtype] = np.empty(end, dtype)
+    return [arena[offset : offset + math.prod(shape)].reshape(shape)
+            for shape, offset in zip(shapes, offsets)]
 
 
 def _im2col(windows, buf) -> np.ndarray:
     """The (n, C, K, L) ``windows`` as (n, C * K, L) columns: a view when their strides
-    allow one, as reshape gives it, else copied into the front of the byte buffer ``buf``."""
+    allow one, as reshape gives it, else copied into the front of the flat buffer ``buf``."""
     n, c, k, length = windows.shape
     if c == 1 or k == 1 or windows.strides[1] == k * windows.strides[2]:
         return windows.reshape(n, c * k, length)
-    cols = buf[: windows.nbytes].view(windows.dtype).reshape(n, c * k, length)
+    cols = buf[: windows.size].reshape(n, c * k, length)
     np.copyto(cols.reshape(n, c, k, length), windows)
     return cols
 
@@ -244,24 +250,23 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     ``upsample`` >= 1 are integers (NumPy integers pass). The input is
     convolved as if each position were repeated ``upsample`` times, to length
     U = upsample * L. Zero padding; output length (U + 2p - K) // stride + 1.
-    The result is C-contiguous, in the promoted dtype of x and w (and of the
-    bias), as matmul and add give it.
+    x, w and the bias must share one dtype (else ShapeError); the result is
+    C-contiguous, in that dtype.
 
     The batch is taken in blocks of rows, as many as the whole number nearest to
     its im2col columns (forward or backward, whichever is larger) over
     ``_BLOCK_BYTES``, and at least one, so each block's columns are still in cache
     when its matmul reads them. Per block: the rows of ``x.data`` are copied into
     the middle of one reused buffer whose ``padding`` columns at each edge stay
-    zero (no buffer when padding is 0 and upsample 1), once per phase k into
-    the positions k, k + upsample, ... (one broadcast copy over the phases,
-    whose innermost loop is only ``upsample`` long, measured 4x slower),
-    a strided view of it gives the
-    (b, Cin, K, Lout) windows, which are copied into the columns (or viewed as
-    them, where reshape would give a view), and one matmul writes the block's
-    rows of the output; the bias is added in place. Every sample goes through
-    the same matmul as in one unblocked call, so the output is bit for bit
+    zero, once per phase k into the positions k, k + upsample, ... (one
+    broadcast copy over the phases, whose innermost loop is only ``upsample``
+    long, measured 4x slower), a strided view of it gives the (b, Cin, K, Lout)
+    windows, which are copied into the columns (or viewed as them, where
+    reshape would give a view), and one matmul writes the block's rows of the
+    output; the bias is added in place. Every sample goes through the same
+    matmul as in one unblocked call, so the output is bit for bit
     ``add(conv1d(x, w), bias)``. The buffers that do not outlive a call come
-    from ``_scratch``'s per-thread arena.
+    from ``_scratch``'s per-thread arena of the call's dtype.
 
     ``slope`` in [0, 1] applies ``leaky_relu`` to each block while it is in
     cache; the result is bit for bit ``leaky_relu(conv1d(x, w, ..., bias), slope)``.
@@ -304,30 +309,27 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     if l_out < 1:
         raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {up_len}")
     parents = (x, w)
-    product_dtype = out_dtype = np.result_type(x.data, w.data)
     if bias is not None:
         b = as_tensor(bias)
         if b.shape != (c_out, 1):
             raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
         parents = (x, w, b)
-        out_dtype = np.result_type(product_dtype, b.data)
+    dtype = x.data.dtype
+    if any(p.data.dtype != dtype for p in parents):
+        names = ", ".join(p.data.dtype.name for p in parents)
+        raise ShapeError(f"conv1d: x, w and bias must share one dtype, got {names}")
     # a sample's columns: the larger of its forward and input-gradient columns. The
     # batch splits into the whole number of blocks nearest to its columns over the
     # budget, so that no call splits off a small ragged block
     sample_cols = kernel * max(c_in * l_out, c_out * up_len)
-    itemsize = max(x.data.itemsize, out_dtype.itemsize)
-    rows = max(1, -(-batch // max(1, round(batch * sample_cols * itemsize / _BLOCK_BYTES))))
-
-    padded = (rows, c_in, up_len + 2 * padding), x.data.dtype
+    rows = max(1, -(-batch // max(1, round(batch * sample_cols * dtype.itemsize / _BLOCK_BYTES))))
+    cols_shape, padded_shape = (rows * sample_cols,), (rows, c_in, up_len + 2 * padding)
 
     def column_maker(xp, buf):
         """A function of (b0, b1) that gives the (b1 - b0, Cin * K, Lout) im2col
-        columns of rows b0:b1, in ``buf`` unless they are a view. With padding or
-        upsampling, each call rewrites the middle of ``xp``, whose edges stay zero,
-        one phase of the upsampled rows at a time. Use each result before the next call."""
-        if not padding and upsample == 1:
-            windows = _taps(x.data, kernel, stride, l_out)
-            return lambda b0, b1: _im2col(windows[b0:b1], buf)
+        columns of rows b0:b1, in ``buf`` unless they are a view. Each call rewrites
+        the middle of ``xp``, whose edges stay zero, one phase of the upsampled rows
+        at a time. Use each result before the next call."""
         xp[:, :, :padding] = 0
         xp[:, :, padding + up_len :] = 0
         windows = _taps(xp, kernel, stride, l_out)
@@ -341,10 +343,8 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
         return columns
 
     w2 = w.data.reshape(c_out, c_in * kernel)
-    data = np.empty((batch, c_out, l_out), dtype=out_dtype)
-    buf, xp, scaled = _scratch(
-        ((rows * sample_cols * x.data.itemsize,), np.uint8), padded, ((rows, c_out, l_out), out_dtype)
-    )
+    data = np.empty((batch, c_out, l_out), dtype=dtype)
+    buf, xp, scaled = _scratch(dtype, cols_shape, padded_shape, (rows, c_out, l_out))
     taped = any(p.requires_grad for p in parents)
     if slope is not None and taped:  # only backward reads the mask
         mask = np.empty(data.shape, dtype=bool)
@@ -352,12 +352,9 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     for b0 in range(0, batch, rows):
         b1 = min(b0 + rows, batch)
         block = data[b0:b1]
-        if out_dtype == product_dtype:
-            np.matmul(w2, columns(b0, b1), out=block)
-            if bias is not None:
-                block += b.data
-        else:  # a wider bias promotes, as add does
-            np.add(w2 @ columns(b0, b1), b.data, out=block)
+        np.matmul(w2, columns(b0, b1), out=block)
+        if bias is not None:
+            block += b.data
         if slope is not None:  # leaky_relu's max(pre, slope * pre), on the cached block
             if taped:
                 np.greater_equal(block, 0, out=mask[b0:b1])
@@ -374,18 +371,17 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     def backward_fn(g):
         gx = gw = gb = None
         if slope is not None:
-            g_pre = np.empty(data.shape, dtype=g.dtype)
+            g_pre = np.empty(data.shape, dtype=dtype)
         if w.requires_grad:
-            products = np.empty((batch, c_out, c_in * kernel), dtype=np.result_type(g, x.data))
+            products = np.empty((batch, c_out, c_in * kernel), dtype=dtype)
         # one buffer for both column blocks: a block's columns are used up before
         # its input-gradient columns are built
         buf, xp, spread, up_gx = _scratch(
-            ((rows * sample_cols * max(x.data.itemsize, g.itemsize),), np.uint8), padded,
-            ((rows, c_out, up_len + kernel - 1), g.dtype),
-            ((rows, c_in, up_len if upsample > 1 else 0), x.data.dtype),
+            dtype, cols_shape, padded_shape, (rows, c_out, up_len + kernel - 1),
+            (rows, c_in, up_len if upsample > 1 else 0),
         )
         if x.requires_grad:
-            gx = np.empty(x.shape, dtype=x.data.dtype)
+            gx = np.empty(x.shape, dtype=dtype)
             spread.fill(0)
             windows_t = _taps(spread, kernel, 1, up_len, reverse=True)
             w_t = w.data.transpose(1, 0, 2).reshape(c_in, c_out * kernel)
@@ -403,10 +399,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
                     spread_block[:, :, start:stop:stride] = g_block[:, :, first:last]
                 cols_t = _im2col(windows_t[: b1 - b0], buf)
                 gx_block = gx[b0:b1] if upsample == 1 else up_gx[: b1 - b0]
-                if np.result_type(w_t, cols_t) == gx.dtype:
-                    np.matmul(w_t, cols_t, out=gx_block)
-                else:  # a wider product is rounded to x's dtype, as astype does
-                    gx_block[...] = w_t @ cols_t
+                np.matmul(w_t, cols_t, out=gx_block)
                 if upsample > 1:  # phase 0 + phase 1, then += phase k, as the engine summed copies
                     phases = gx_block.reshape(b1 - b0, c_in, length, upsample)
                     np.add(phases[..., 0], phases[..., 1], out=gx[b0:b1])
@@ -565,6 +558,10 @@ def backward(output: Tensor):
     backward closure) that requires it; an intermediate's gradient is freed once
     passed to its parents, and its .grad stays None.
 
+    Each gradient a node passes to a parent is cast to that parent's dtype (no
+    copy when they match): a float32 leaf under a float64 loss gets a float32
+    .grad, and every backward closure receives g in its own output's dtype.
+
     The output must be scalar (size 1). Gradients add into any existing
     .grad, so zero them between independent passes.
     """
@@ -583,6 +580,7 @@ def backward(output: Tensor):
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
+            pg = pg.astype(parent.data.dtype, copy=False)
             key = id(parent)
             pending[key] = pg if key not in pending else pending[key] + pg
 
@@ -615,9 +613,9 @@ def grad_check(fn, point: dict) -> float:
         for i in range(flat_data.size):
             saved = flat_data[i]
             flat_data[i] = saved + _GRAD_CHECK_STEP
-            f_plus = float(fn(point).data)
+            f_plus = fn(point).item()
             flat_data[i] = saved - _GRAD_CHECK_STEP
-            f_minus = float(fn(point).data)
+            f_minus = fn(point).item()
             flat_data[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * _GRAD_CHECK_STEP)
             a = float(flat_grad[i])

@@ -322,6 +322,12 @@ class TestFrameFileFormat:
         ft.write_frames(read_back, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_header_value_beyond_u32_raises_data_error(self, tmp_path):
+        path = tmp_path / "frames.vawf"
+        with pytest.raises(DataError, match="speaker_id 4294967296 does not fit"):
+            ft.write_frames(FrameMatrix(2**32, np.eye(2)), path)
+        assert not path.exists()
+
     def test_round_trip_without_energy(self, tmp_path):
         fm = FrameMatrix(0, np.eye(3))
         path = tmp_path / "noenergy.vawf"
@@ -399,6 +405,14 @@ class TestNormStatsFormat:
         second = tmp_path / "again.vawn"
         ft.write_norm_stats(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_header_value_beyond_u32_raises_data_error(self, tmp_path, monkeypatch):
+        # 2**32 real dimensions would take 32 GB, so only the reported width is that large
+        monkeypatch.setattr(NormStats, "dim", property(lambda s: 2**32))
+        path = tmp_path / "stats.vawn"
+        with pytest.raises(DataError, match="dim 4294967296 does not fit"):
+            ft.write_norm_stats(NormStats(mins=[0.0], maxs=[1.0]), path)
+        assert not path.exists()
 
     def test_rejects_zero_width_stats(self):
         with pytest.raises(DataError, match="non-empty"):

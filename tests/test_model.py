@@ -278,10 +278,13 @@ class TestCritic:
 
         assert nm.grad_check(fn, params.tensors) < 1e-4
 
-    @pytest.mark.parametrize("bound", [0.0, -0.01, float("nan")])
+    # an infinite bound would leave the critic's weights unconstrained
+    @pytest.mark.parametrize("bound", [0.0, -0.01, float("nan"), float("inf")])
     def test_rejects_bad_clip_bound(self, bound):
         with pytest.raises(DataError, match="clip_bound"):
             md.init_model(CHECK_CONFIG, RngState(seed=0), clip_bound=bound)
+        with pytest.raises(DataError, match="positive and finite"):
+            md.init_critic(CHECK_CONFIG, RngState(seed=0), clip_bound=bound)
 
     def test_scores_are_unbounded_reals(self):
         params = md.init_critic(CHECK_CONFIG, RngState(seed=2), dtype=np.float64)
@@ -433,3 +436,20 @@ class TestFloat32:
         nm.backward(nm.add(nm.add(kl, recon), nm.reduce_mean(outs[3])))
         for name, t in named.items():
             assert t.grad is not None and t.grad.dtype == np.float32, name
+
+    def test_float64_arrays_are_cast_to_the_parameters_dtype(self):
+        config = NetworkConfig(dim=24)
+        params = md.init_model(config, RngState(seed=3), dtype=np.float32)
+        x = _frames(np.random.default_rng(1), 5, 24)  # float64
+        mu, log_var = md.encode(x, params.encoder)
+        z = mu.data.astype(np.float64)
+        outs = [mu, log_var, md.criticize(x, params.critic), md.generate(z, 1, params.generator)]
+        assert [t.data.dtype for t in outs] == [np.dtype(np.float32)] * 4
+        # the cast matches casting the frames by hand, bit for bit
+        assert mu.data.tobytes() == md.encode(x.astype(np.float32), params.encoder)[0].data.tobytes()
+
+    def test_float64_tensor_is_not_cast(self):
+        params = md.init_encoder(NetworkConfig(dim=24), RngState(seed=3), dtype=np.float32)
+        x = Tensor(_frames(np.random.default_rng(1), 5, 24))
+        with pytest.raises(ShapeError, match="one dtype, got float64, float32"):
+            md.encode(x, params)

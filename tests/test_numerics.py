@@ -138,6 +138,14 @@ class TestBackward:
         for c, a, b in zip(combined, ga, gb):
             np.testing.assert_allclose(c, a + b, atol=1e-10, rtol=0)
 
+    def test_gradient_takes_its_tensors_dtype(self):
+        # a float32 leaf under a float64 loss: its gradient is rounded to float32
+        leaf = Tensor(np.arange(1.0, 7.0, dtype=np.float32).reshape(2, 3), requires_grad=True)
+        t64 = Tensor(np.full((2, 3), 1 / 3))
+        nm.backward(nm.reduce_sum(nm.mul(leaf, t64)))
+        assert leaf.grad.dtype == np.float32
+        assert leaf.grad.tobytes() == np.full((2, 3), 1 / 3, dtype=np.float32).tobytes()
+
     def test_gradient_accumulates_across_passes(self):
         x = Tensor([2.0], requires_grad=True)
         nm.backward(nm.reduce_sum(nm.square(x)))
@@ -263,11 +271,8 @@ def test_conv1d_gradients_with_one_input_frozen(frozen):
 
 
 class TestConv1dBias:
-    # (dtype of x and w, dtype of the bias): a float64 bias promotes, as add does
-    @pytest.mark.parametrize(
-        "dtype,bias_dtype",
-        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
-    )
+    # (dtype of x and w, dtype of the bias): conv1d takes one dtype
+    @pytest.mark.parametrize("dtype,bias_dtype", [(np.float32, np.float32), (np.float64, np.float64)])
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (3, 0)])
     def test_bit_identical_to_separate_add(self, dtype, bias_dtype, stride, padding):
         rng = np.random.default_rng(31)
@@ -293,6 +298,17 @@ class TestConv1dBias:
     def test_rejects_bias_of_wrong_shape(self):
         with pytest.raises(ShapeError, match="bias"):
             nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), bias=Tensor(np.ones(4)))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (3, 0)])
+    def test_rejects_bias_of_another_dtype(self, stride, padding):
+        x, w = (Tensor(np.ones(s, dtype=np.float32)) for s in ((4, 3, 10), (5, 3, 3)))
+        with pytest.raises(ShapeError, match="one dtype, got float32, float32, float64"):
+            nm.conv1d(x, w, stride=stride, padding=padding, bias=Tensor(np.ones((5, 1))))
+
+    def test_rejects_kernel_of_another_dtype(self):
+        x = Tensor(np.ones((4, 3, 10), dtype=np.float32))
+        with pytest.raises(ShapeError, match="one dtype, got float32, float64"):
+            nm.conv1d(x, Tensor(np.ones((5, 3, 3))), padding=1)
 
 
 class TestConv1dInputGradient:
@@ -491,7 +507,7 @@ class TestConv1dBlocks:
         other = nm.conv1d(Tensor(rng.standard_normal((5, 3, 16)), requires_grad=True), w, padding=1)
         other._backward(rng.standard_normal(other.shape))  # reuses the arena's buffers
         for a, k in zip((out.data, *grads), kept):
-            assert not np.shares_memory(a, nm._arena.bytes)
+            assert not np.shares_memory(a, vars(nm._arena)[np.dtype(np.float64)])
             assert a.tobytes() == k.tobytes()
 
 
@@ -643,6 +659,12 @@ def test_clip_rejects_lo_above_hi_as_value_error():
 
 
 class TestGradCheck:
+    def test_one_element_vector_output(self):
+        rng = np.random.default_rng(3)
+        a = _param(rng, (2, 3))
+        err = nm.grad_check(lambda p: nm.reshape(nm.reduce_sum(nm.square(p["a"])), (1,)), {"a": a})
+        assert err < 1e-6
+
     def test_linear_function_is_exact(self):
         rng = np.random.default_rng(2)
         c = Tensor(rng.standard_normal((5,)))

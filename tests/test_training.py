@@ -162,6 +162,37 @@ class TestJointStep:
             assert np.array_equal(p0[name].data, p1[name].data), name
             assert np.array_equal(s0[name], s1[name]), name
 
+    def test_float32_model_given_float64_frames_stays_float32(self, frames, monkeypatch):
+        outputs, grads = [], []
+
+        def recording(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                outputs.extend(t.data.dtype for t in (out if isinstance(out, tuple) else (out,)))
+                return out
+
+            return wrapped
+
+        for name in ("encode", "generate", "criticize"):
+            monkeypatch.setattr(md, name, recording(getattr(md, name)))
+        original = tr.rmsprop_update
+
+        def checked(p, state):
+            grads.extend(t.grad.dtype for t in p.named_parameters().values() if t.grad is not None)
+            original(p, state)
+
+        monkeypatch.setattr(tr, "rmsprop_update", checked)
+        params, rng, state = _params(), RngState(6), {}
+        frames64 = [f.astype(np.float64) for f in frames]
+        tr.warmup_step(params, frames64, SMALL, rng, state)
+        tr.joint_step(params, frames64, 0, 1, SMALL, rng, state)
+        # warm-up: 2 encodes and 2 generates; joint: 5 critic steps of 1 encode, 1 generate
+        # and 2 criticizes, then 2 encodes, 3 generates and 2 criticizes
+        assert len(outputs) == 2 * 2 + 2 + tr.N_CRITIC * 5 + 2 * 2 + 3 + 2
+        assert set(outputs) == set(grads) == {np.dtype(np.float32)}
+        for name, t in params.named_parameters().items():
+            assert t.data.dtype == state[name].dtype == np.float32, name
+
     def test_float32_model_stays_float32(self, frames, monkeypatch):
         grad_dtypes = []
         original = tr.rmsprop_update
