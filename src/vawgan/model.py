@@ -5,12 +5,13 @@ The encoder maps normalized frames to a diagonal-Gaussian posterior
 id, which the API makes unrepresentable. The generator blends z with a
 learned speaker embedding row and decodes back to frame space through
 upsample+conv stages ending in tanh, so outputs stay in (-1, 1). Each
-stage's nearest-neighbour upsampling happens inside ``conv1d``
-(``upsample``), which never builds the upsampled input. The critic
-scores frames with an unbounded real number (no sigmoid); with its
-weights clipped it is Lipschitz, and `critic_lipschitz_bound` certifies
-a constant from per-layer operator norms: each conv's from its
-polyphase symbol, the dense head's from its SVD.
+conv block is one ``conv1d`` call: "same" padding (K // 2 zeros at each
+edge), its bias, its leaky-ReLU (``slope``) and, in the generator, the
+stage's nearest-neighbour upsampling (``upsample``), so the upsampled
+input is never built. The critic scores frames with an unbounded real
+number (no sigmoid); with its weights clipped it is Lipschitz, and
+`critic_lipschitz_bound` certifies a constant from per-layer operator
+norms: each conv's from its polyphase symbol, the dense head's from its SVD.
 
 Array inputs to ``encode``, ``criticize`` and ``generate`` are cast to
 the parameters' dtype, so a float32 model given float64 frames runs in
@@ -46,7 +47,7 @@ class NetworkConfig:
     leaky-ReLU slope and log-variance clamp are class constants, not fields."""
 
     kernel_size: ClassVar[int] = 3
-    padding: ClassVar[int] = kernel_size // 2
+    padding: ClassVar[int] = kernel_size // 2  # the padding conv1d applies at each edge
     leaky_slope: ClassVar[float] = 0.2
     logvar_bound: ClassVar[float] = 14.0
     dim: int
@@ -87,8 +88,8 @@ class NetworkConfig:
                 f"feature dim {self.dim} is not divisible by the upsample product "
                 f"{self._upsample_product}"
             )
-        # padding = kernel // 2 keeps every conv output length >= 1, so strided
-        # stacks cannot collapse the signal; conv1d still guards the general case
+        # conv1d pads kernel // 2 at each edge, which keeps every conv output length
+        # >= 1, so strided stacks cannot collapse the signal
 
     @property
     def _upsample_product(self) -> int:
@@ -261,8 +262,8 @@ def _as_input(x, like: Tensor) -> Tensor:
 def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str,
                 upsample: int = 1):
     h = nm.conv1d(
-        h, tensors[f"conv{idx}.w"], stride=stride, padding=config.padding,
-        bias=tensors[f"conv{idx}.b"], slope=config.leaky_slope, upsample=upsample,
+        h, tensors[f"conv{idx}.w"], bias=tensors[f"conv{idx}.b"], stride=stride,
+        slope=config.leaky_slope, upsample=upsample,
     )
     _ensure_finite(h, f"{net} conv layer {idx}")
     return h
@@ -333,9 +334,7 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     h = nm.reshape(h, (batch, cfg.generator_channels[0], cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
         h = _conv_block(h, params.tensors, i, 1, cfg, "generator", upsample=factor)
-    h = nm.conv1d(
-        h, params.tensors["out.w"], stride=1, padding=cfg.padding, bias=params.tensors["out.b"]
-    )
+    h = nm.conv1d(h, params.tensors["out.w"], bias=params.tensors["out.b"])
     _ensure_finite(h, "generator output layer")  # tanh would turn an inf into ±1
     h = nm.tanh(h)
     return nm.reshape(h, (batch, cfg.dim))
@@ -353,11 +352,11 @@ def criticize(x, params: CriticParams) -> Tensor:
 # Lipschitz certificate
 
 
-def _conv_operator_norm(w: np.ndarray, length: int, stride: int, padding: int) -> float:
-    """Norm of the circular conv of length n = s * ceil((L + 2p + K) / s): the largest
-    singular value, over the n / s frequencies, of the Cout x (Cin * s) polyphase symbol."""
+def _conv_operator_norm(w: np.ndarray, length: int, stride: int) -> float:
+    """Norm of the circular conv of length n = s * ceil((L + 2p + K) / s), p = K // 2: the
+    largest singular value, over the n / s frequencies, of the Cout x (Cin * s) polyphase symbol."""
     c_out, c_in, kernel = w.shape
-    delays = -(-(length + 2 * padding + kernel) // stride)
+    delays = -(-(length + 2 * (kernel // 2) + kernel) // stride)
     taps = np.zeros((c_out, c_in, stride, delays))
     j = np.arange(kernel)
     taps[:, :, j % stride, j // stride] = w  # tap j: phase j % s, delay j // s
@@ -380,7 +379,7 @@ def critic_lipschitz_bound(params: CriticParams) -> float:
     lengths = cfg.conv_lengths(cfg.critic_strides)
     for i, stride in enumerate(cfg.critic_strides):
         w = params.tensors[f"conv{i}.w"].data
-        bound *= _conv_operator_norm(w, lengths[i], stride, cfg.padding)
+        bound *= _conv_operator_norm(w, lengths[i], stride)
     out_w = params.tensors["out.w"].data.astype(np.float64)
     bound *= np.linalg.svd(out_w, compute_uv=False)[0]
     return float(bound)

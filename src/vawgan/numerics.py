@@ -18,12 +18,14 @@ gradient a primitive's backward receives, has the dtype of that tensor.
 add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
 log, square, clip and the two reductions share one one-input helper, ``_unary``.
 
-conv1d is im2col plus one matmul, with activations kept as (batch,
-channels, length). It works over the batch in blocks of rows whose columns
-take about ``_BLOCK_BYTES``, so each block's columns and outputs are still in
-cache for the matmul, the in-place bias and the optional leaky-ReLU
-(``slope``) that follow. Every column block is one read-only strided view,
-``_taps``, of a zero-edged buffer, copied into a column buffer. With
+conv1d is im2col plus one matmul plus a required bias, with activations
+kept as (batch, channels, length) and K // 2 zeros padded at each edge
+("same" padding: ceil(L / stride) outputs for odd K). It works over the
+batch in blocks of rows whose columns take about ``_BLOCK_BYTES``, so each
+block's columns and outputs are still in cache for the matmul, the in-place
+bias and the optional leaky-ReLU (``slope``) that follow. Every column
+block is one read-only strided view, ``_taps``, of a zero-edged buffer,
+copied into a column buffer. With
 ``upsample`` f, conv1d convolves the nearest-neighbour upsampled input
 (each position repeated f times) without building it: the zero-edged
 buffer is filled one phase at a time. Buffers that do not outlive a call
@@ -51,7 +53,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -183,17 +184,17 @@ def matmul(a, b) -> Tensor:
 
 
 def _taps(buf, kernel: int, stride: int, l_out: int, reverse: bool = False) -> np.ndarray:
-    """Read-only (B, C, K, Lout) view of ``buf`` (B, C, length): tap k at position j
-    reads ``buf[..., j * stride + k]``, or ``buf[..., j * stride + K - 1 - k]`` when
-    ``reverse``. Nothing is bounds-checked: the caller sizes ``buf`` to cover every window."""
+    """Read-only (B, C, K, Lout) view of the C-contiguous ``buf`` (B, C, length): tap k
+    at position j reads ``buf[..., j * stride + k]``, or ``buf[..., j * stride + K - 1 - k]``
+    when ``reverse``. NumPy rejects a view that would reach outside ``buf``."""
     sb, sc, sl = buf.strides
-    base = buf[:, :, kernel - 1 :] if reverse else buf
-    return as_strided(
-        base,
-        shape=(buf.shape[0], buf.shape[1], kernel, l_out),
+    view = np.ndarray(
+        (buf.shape[0], buf.shape[1], kernel, l_out), buf.dtype, buffer=buf,
+        offset=(kernel - 1) * sl if reverse else 0,
         strides=(sb, sc, -sl if reverse else sl, stride * sl),
-        writeable=False,
     )
+    view.flags.writeable = False
+    return view
 
 
 _arena = threading.local()
@@ -241,15 +242,16 @@ def _leaky_grad(above, g, slope, out) -> np.ndarray:
     return out
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsample: int = 1) -> Tensor:
+def conv1d(x, w, bias, stride: int = 1, slope=None, upsample: int = 1) -> Tensor:
     """1-D convolution along the last (feature) axis of the nearest-neighbour
-    upsampled input, plus an optional bias and an optional leaky-ReLU.
+    upsampled input, plus a bias and an optional leaky-ReLU.
 
-    x: (batch, in_channels, length), w: (out_channels, in_channels, kernel),
-    bias: (out_channels, 1). ``stride`` >= 1, ``padding`` >= 0 and
-    ``upsample`` >= 1 are integers (NumPy integers pass). The input is
+    x: (batch, in_channels, length), w: (out_channels, in_channels, kernel) and
+    the required bias: (out_channels, 1); length and kernel are >= 1. ``stride``
+    >= 1 and ``upsample`` >= 1 are integers (NumPy integers pass). The input is
     convolved as if each position were repeated ``upsample`` times, to length
-    U = upsample * L. Zero padding; output length (U + 2p - K) // stride + 1.
+    U = upsample * L, with K // 2 zeros at each edge ("same" padding), so the
+    output has ceil(U / stride) positions for odd K (U // stride + 1 for even K).
     x, w and the bias must share one dtype (else ShapeError); the result is
     C-contiguous, in that dtype.
 
@@ -257,19 +259,19 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     its im2col columns (forward or backward, whichever is larger) over
     ``_BLOCK_BYTES``, and at least one, so each block's columns are still in cache
     when its matmul reads them. Per block: the rows of ``x.data`` are copied into
-    the middle of one reused buffer whose ``padding`` columns at each edge stay
+    the middle of one reused buffer whose K // 2 columns at each edge stay
     zero, once per phase k into the positions k, k + upsample, ... (one
     broadcast copy over the phases, whose innermost loop is only ``upsample``
     long, measured 4x slower), a strided view of it gives the (b, Cin, K, Lout)
     windows, which are copied into the columns (or viewed as them, where
     reshape would give a view), and one matmul writes the block's rows of the
     output; the bias is added in place. Every sample goes through the same
-    matmul as in one unblocked call, so the output is bit for bit
-    ``add(conv1d(x, w), bias)``. The buffers that do not outlive a call come
+    matmul as in one unblocked call, so the output is bit for bit that
+    matmul's result plus the bias. The buffers that do not outlive a call come
     from ``_scratch``'s per-thread arena of the call's dtype.
 
     ``slope`` in [0, 1] applies ``leaky_relu`` to each block while it is in
-    cache; the result is bit for bit ``leaky_relu(conv1d(x, w, ..., bias), slope)``.
+    cache; the result is bit for bit ``leaky_relu(conv1d(x, w, bias, ...), slope)``.
     When the result goes on the tape (an input requires grad), the tape keeps the
     bool mask ``pre >= 0`` of the pre-activation, not the pre-activation itself;
     off the tape no mask is made. The mask is not read from the output's sign: a
@@ -288,14 +290,12 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     axis, reshape. The tape keeps ``x``, not the columns, and backward
     rebuilds them from ``x.data``: do not mutate ``x`` before ``backward``.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    stride, padding, upsample = operator.index(stride), operator.index(padding), operator.index(upsample)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(bias)
+    stride, upsample = operator.index(stride), operator.index(upsample)
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
     if upsample < 1:
         raise ShapeError(f"conv1d: upsample must be >= 1, got {upsample}")
-    if padding < 0:
-        raise ShapeError(f"conv1d: padding must be >= 0, got {padding}")
     if slope is not None:
         _check_slope("conv1d", slope)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -304,16 +304,13 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
     c_out, c_in_w, kernel = w.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: channel mismatch, input {c_in} vs kernel {c_in_w}")
-    up_len = length * upsample
+    if b.shape != (c_out, 1):
+        raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
+    if length < 1 or kernel < 1:
+        raise ShapeError(f"conv1d: need a non-empty input and kernel, got {x.shape} and {w.shape}")
+    padding, up_len = kernel // 2, length * upsample
     l_out = (up_len + 2 * padding - kernel) // stride + 1
-    if l_out < 1:
-        raise ShapeError(f"conv1d: kernel {kernel} with padding {padding} does not fit length {up_len}")
-    parents = (x, w)
-    if bias is not None:
-        b = as_tensor(bias)
-        if b.shape != (c_out, 1):
-            raise ShapeError(f"conv1d: bias must have shape {(c_out, 1)}, got {b.shape}")
-        parents = (x, w, b)
+    parents = (x, w, b)
     dtype = x.data.dtype
     if any(p.data.dtype != dtype for p in parents):
         names = ", ".join(p.data.dtype.name for p in parents)
@@ -353,20 +350,15 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
         b1 = min(b0 + rows, batch)
         block = data[b0:b1]
         np.matmul(w2, columns(b0, b1), out=block)
-        if bias is not None:
-            block += b.data
+        block += b.data
         if slope is not None:  # leaky_relu's max(pre, slope * pre), on the cached block
             if taped:
                 np.greater_equal(block, 0, out=mask[b0:b1])
             np.maximum(block, np.multiply(block, slope, out=scaled[: b1 - b0]), out=block)
 
     # g[..., j] lands at j * stride + K - 1 - padding of a zero buffer of length
-    # upsample * L + K - 1; entries that fall outside it touch no input and are dropped
+    # upsample * L + K - 1, which holds every entry as padding <= K - 1
     offset = kernel - 1 - padding
-    first = -(-max(0, -offset) // stride)
-    last = min(l_out, -(-(up_len + padding) // stride))
-    start = offset + first * stride
-    stop = start + (last - first) * stride
 
     def backward_fn(g):
         gx = gw = gb = None
@@ -394,9 +386,8 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
             if w.requires_grad:
                 np.matmul(g_block, columns(b0, b1).transpose(0, 2, 1), out=products[b0:b1])
             if x.requires_grad:
-                spread_block = spread[: b1 - b0]  # the entries outside [start, stop) stay zero
-                if last > first:
-                    spread_block[:, :, start:stop:stride] = g_block[:, :, first:last]
+                # the entries between and around g's stay zero
+                spread[: b1 - b0, :, offset : offset + l_out * stride : stride] = g_block
                 cols_t = _im2col(windows_t[: b1 - b0], buf)
                 gx_block = gx[b0:b1] if upsample == 1 else up_gx[: b1 - b0]
                 np.matmul(w_t, cols_t, out=gx_block)
@@ -407,7 +398,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0, bias=None, slope=None, upsam
                         gx[b0:b1] += phases[..., k]
         if slope is not None:
             g = g_pre
-        if bias is not None and b.requires_grad:
+        if b.requires_grad:
             gb = g.sum(axis=0).sum(axis=1, keepdims=True)
         if w.requires_grad:
             gw = products.sum(axis=0).reshape(w.shape)

@@ -94,8 +94,11 @@ def _check_pools(frames):
             raise DataError(f"speaker {speaker} has an empty frame pool")
 
 
-def _draw(pool: np.ndarray, batch_size: int, rng: RngState) -> np.ndarray:
-    return pool[rng.integers(pool.shape[0], size=batch_size)]
+def _draw(params: M.ModelParams, pool: np.ndarray, batch_size: int, rng: RngState) -> np.ndarray:
+    """A batch of ``pool``'s rows in the parameters' dtype. Only the batch is cast, so a
+    float64 pool does not carry the losses of a float32 model to float64."""
+    dtype = params.encoder.tensors["conv0.w"].data.dtype
+    return pool[rng.integers(pool.shape[0], size=batch_size)].astype(dtype, copy=False)
 
 
 def _mean(terms: list[Tensor]) -> Tensor:
@@ -107,7 +110,7 @@ def _vae_terms(params: M.ModelParams, frames, batch_size: int, rng: RngState):
     the latent sample of every speaker's batch."""
     kl, recon, latents = [], [], []
     for speaker, pool in enumerate(frames):
-        x = _draw(pool, batch_size, rng)
+        x = _draw(params, pool, batch_size, rng)
         mu, log_var = M.encode(x, params.encoder)
         z = M.reparameterize(mu, log_var, rng).z
         kl.append(O.kl_loss(mu, log_var))
@@ -161,10 +164,10 @@ def critic_step(
     source, target = as_speaker(source, len(frames)), as_speaker(target, len(frames))
     _check_pools(frames)
     params.set_requires_grad(encoder=False, generator=False, critic=True)
-    x = _draw(frames[source], config.batch_size, rng)
+    x = _draw(params, frames[source], config.batch_size, rng)
     mu, log_var = M.encode(x, params.encoder)
     z = M.reparameterize(mu, log_var, rng).z
-    gap = _converted_gap(params, z, _draw(frames[target], config.batch_size, rng), target)
+    gap = _converted_gap(params, z, _draw(params, frames[target], config.batch_size, rng), target)
     params.zero_grad()
     nm.backward(nm.mul(gap, -1.0))  # the critic ascends the gap
     rmsprop_update(params, mean_square)
@@ -196,7 +199,7 @@ def joint_step(
 
     params.set_requires_grad(encoder=True, generator=True, critic=False)
     j_lat, j_obs, latents = _vae_terms(params, frames, config.batch_size, rng)
-    real = _draw(frames[target], config.batch_size, rng)
+    real = _draw(params, frames[target], config.batch_size, rng)
     gap = _converted_gap(params, Tensor(latents[source].data), real, target)
     params.zero_grad()
     nm.backward(nm.add(nm.add(j_obs, j_lat), nm.mul(gap, config.alpha)))

@@ -32,12 +32,12 @@ def _frames(rng, batch, dim):
     return np.tanh(rng.standard_normal((batch, dim)))
 
 
-def _dense_conv_norm(w, length, stride, padding):
+def _dense_conv_norm(w, length, stride):
     """Oracle: spectral norm of a conv layer unrolled into its dense matrix,
-    built by running ``nm.conv1d`` in float64 on the identity basis."""
-    c_in = w.shape[1]
+    built by running ``nm.conv1d`` (zero bias) in float64 on the identity basis."""
+    c_out, c_in, _ = w.shape
     basis = np.eye(c_in * length).reshape(-1, c_in, length)
-    out = nm.conv1d(basis, w.astype(np.float64), stride=stride, padding=padding).data
+    out = nm.conv1d(basis, w.astype(np.float64), np.zeros((c_out, 1)), stride=stride).data
     return np.linalg.svd(out.reshape(c_in * length, -1), compute_uv=False)[0]
 
 
@@ -48,7 +48,7 @@ def _dense_critic_bound(params):
     bound = np.linalg.svd(params.tensors["out.w"].data.astype(np.float64), compute_uv=False)[0]
     for i, stride in enumerate(cfg.critic_strides):
         w = params.tensors[f"conv{i}.w"].data
-        bound *= act * _dense_conv_norm(w, lengths[i], stride, cfg.padding)
+        bound *= act * _dense_conv_norm(w, lengths[i], stride)
     return bound
 
 
@@ -254,14 +254,12 @@ class TestCritic:
     @pytest.mark.parametrize("c_in, c_out", [(1, 8), (8, 8), (3, 5)])
     def test_polyphase_norm_bounds_dense_norm(self, c_in, c_out):
         rng = np.random.default_rng(c_in * 10 + c_out)
-        for kernel in (1, 3, 5):
+        for kernel in (1, 2, 3, 4, 5):
             w = rng.standard_normal((c_out, c_in, kernel))
-            for length, stride, padding in itertools.product(
-                (5, 16, 24, 64), (1, 2, 3, 4), sorted({0, kernel // 2, kernel})
-            ):
-                dense = _dense_conv_norm(w, length, stride, padding)
-                poly = md._conv_operator_norm(w, length, stride, padding)
-                assert poly >= dense * (1 - 1e-12), (kernel, length, stride, padding)
+            for length, stride in itertools.product((5, 16, 24, 64), (1, 2, 3, 4)):
+                dense = _dense_conv_norm(w, length, stride)
+                poly = md._conv_operator_norm(w, length, stride)
+                assert poly >= dense * (1 - 1e-12), (kernel, length, stride)
 
     def test_certificate_is_tight_for_the_default_critic(self):
         params = md.init_critic(NetworkConfig(dim=128), RngState(seed=3))
@@ -331,6 +329,32 @@ class TestNonFiniteOutputs:
         params, frames = self._planted(net, name, value)
         with pytest.raises(NumericError, match=layer), np.errstate(invalid="ignore"):
             tr.critic_step(params, frames, 0, 1, tr.TrainConfig(batch_size=8), RngState(2), {})
+
+
+class TestConv1dCalls:
+    def test_model_passes_only_x_and_w_positionally(self, monkeypatch):
+        # a conv1d wrapper of the form f(x, w, **kwargs), as the benchmark's
+        # planted-fault check writes it, must serve every conv of the model
+        conv, calls = nm.conv1d, []
+
+        def spy(x, w, **kwargs):
+            calls.append(kwargs)
+            return conv(x, w, **kwargs)
+
+        monkeypatch.setattr(nm, "conv1d", spy)
+        config, small = NetworkConfig(dim=24), tr.TrainConfig(batch_size=8)
+        params = md.init_model(config, RngState(seed=0))
+        rng = np.random.default_rng(1)
+        frames = [_frames(rng, 16, config.dim).astype(np.float32) for _ in range(2)]
+        mu, _ = md.encode(frames[0], params.encoder)
+        md.generate(mu, 1, params.generator)
+        md.criticize(frames[0], params.critic)
+        tr.warmup_step(params, frames, small, RngState(2), {})
+        tr.critic_step(params, frames, 0, 1, small, RngState(3), {})
+        # 3 encoder, 4 generator and 3 critic convs; warm-up: 2 encodes and 2 generates;
+        # critic step: 1 encode, 1 generate and 2 criticizes
+        assert len(calls) == 3 + 4 + 3 + 2 * (3 + 4) + 3 + 4 + 2 * 3
+        assert all("bias" in kwargs for kwargs in calls)
 
 
 class TestConfigValidation:

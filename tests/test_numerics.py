@@ -58,24 +58,27 @@ class TestForward:
         with pytest.raises(ShapeError, match="matmul"):
             nm.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="conv1d"):
-            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 3, 3))))
+            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 3, 3))), np.zeros((4, 1)))
         with pytest.raises(ShapeError, match="concat"):
             nm.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))], axis=1)
 
     def test_conv1d_matches_direct_convolution(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8))
-        # (c_out, kernel, stride, padding): strided, stride above kernel, one output channel
-        for c_out, kernel, stride, padding in [(4, 3, 2, 1), (4, 2, 3, 0), (1, 3, 1, 1)]:
-            w = rng.standard_normal((c_out, 3, kernel))
-            out = nm.conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        # (c_out, kernel, stride): strided, stride above kernel, one output channel, kernel 5;
+        # conv1d pads kernel // 2 at each edge
+        for c_out, kernel, stride in [(4, 3, 2), (4, 2, 3), (1, 3, 1), (2, 5, 2)]:
+            w, bias = rng.standard_normal((c_out, 3, kernel)), rng.standard_normal((c_out, 1))
+            out = nm.conv1d(Tensor(x), Tensor(w), Tensor(bias), stride=stride)
+            padding = kernel // 2
             xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
             l_out = (8 + 2 * padding - kernel) // stride + 1
             ref = np.zeros((2, c_out, l_out))
             for b in range(2):
                 for co in range(c_out):
                     for l in range(l_out):
-                        ref[b, co, l] = np.sum(xp[b, :, stride * l : stride * l + kernel] * w[co])
+                        window = xp[b, :, stride * l : stride * l + kernel]
+                        ref[b, co, l] = np.sum(window * w[co]) + bias[co, 0]
             np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
             assert out.data.flags.c_contiguous
 
@@ -101,12 +104,13 @@ class TestBackward:
         point = {
             "x": _param(rng, (2, 2, 8)),
             "w1": _param(rng, (3, 2, 3)),
+            "b1": _param(rng, (3, 1)),
             "w2": _param(rng, (12, 4)),
             "b2": _param(rng, (4,)),
         }
 
         def fn(p):
-            h = nm.leaky_relu(nm.conv1d(p["x"], p["w1"], stride=2, padding=1))
+            h = nm.leaky_relu(nm.conv1d(p["x"], p["w1"], p["b1"], stride=2))
             h = nm.reshape(h, (2, 12))
             h = nm.tanh(nm.add(nm.matmul(h, p["w2"]), p["b2"]))
             return nm.reduce_mean(nm.square(h))
@@ -157,7 +161,7 @@ class TestBackward:
         leaves = x, w, b = _param(rng, (2, 2, 8)), _param(rng, (3, 2, 3)), _param(rng, (3, 1))
 
         def loss():
-            h = nm.leaky_relu(nm.conv1d(x, w, stride=2, padding=1, bias=b))
+            h = nm.leaky_relu(nm.conv1d(x, w, b, stride=2))
             return nm.reduce_mean(nm.square(nm.reshape(h, (2, 12))))
 
         out = loss()
@@ -174,43 +178,39 @@ class TestBackward:
 # one small randomized configuration per primitive; grad-checked at many points
 PRIMITIVE_CASES = {
     "matmul": (("a", "b"), lambda p: nm.reduce_sum(nm.matmul(p["a"], p["b"]))),
-    "conv1d": (("x3", "k"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], stride=1, padding=1))),
-    "conv1d_strided": (("x3", "k"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], stride=2, padding=2))),
-    # windows [0, 2), [3, 5), [6, 8): inputs 2, 5 and 8 feed no output
+    "conv1d": (("x3", "k", "bias"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], p["bias"]))),
+    "conv1d_strided": (
+        ("x3", "k", "bias"), lambda p: nm.reduce_sum(nm.conv1d(p["x3"], p["k"], p["bias"], stride=2)),
+    ),
+    # windows [-1, 1), [2, 4), [5, 7), [8, 10): inputs 1, 4 and 7 feed no output
     "conv1d_stride_exceeds_kernel": (
-        ("x9", "k2"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k2"], stride=3, padding=0))),
+        ("x9", "k2", "bias"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k2"], p["bias"], stride=3))),
     ),
     "conv1d_one_output_channel": (
-        ("x3", "k_out1"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k_out1"], stride=1, padding=1))),
+        ("x3", "k_out1", "bias1"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k_out1"], p["bias1"]))),
     ),
     "conv1d_bias": (
         ("x3", "k", "bias"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=2, padding=1, bias=p["bias"]))),
-    ),
-    # padding 3 > kernel - 1: the first output's window lies wholly in the padding
-    "conv1d_padding_exceeds_kernel": (
-        ("x3", "k"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=1, padding=3))),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], p["bias"], stride=2))),
     ),
     "conv1d_kernel5_strided": (
-        ("x9", "k5"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k5"], stride=2, padding=2))),
+        ("x9", "k5", "bias"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x9"], p["k5"], p["bias"], stride=2))),
     ),
     # windows [-1, 2), [3, 6), [7, 10): inputs 2, 6 and 10 feed no output
     "conv1d_stride4_length11": (
-        ("x11", "k"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x11"], p["k"], stride=4, padding=1))),
+        ("x11", "k", "bias"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x11"], p["k"], p["bias"], stride=4))),
     ),
     "conv1d_upsample2": (
         ("x3", "k", "bias"),
-        lambda p: nm.reduce_sum(nm.square(
-            nm.conv1d(p["x3"], p["k"], padding=1, bias=p["bias"], slope=0.2, upsample=2))),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], p["bias"], slope=0.2, upsample=2))),
     ),
-    "conv1d_upsample3_unpadded": (
-        ("x3", "k"),
-        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], stride=2, upsample=3))),
+    "conv1d_upsample3_strided": (
+        ("x3", "k", "bias"),
+        lambda p: nm.reduce_sum(nm.square(nm.conv1d(p["x3"], p["k"], p["bias"], stride=2, upsample=3))),
     ),
     "add": (("a", "row"), lambda p: nm.reduce_sum(nm.add(p["a"], p["row"]))),
     "sub": (("a", "row"), lambda p: nm.reduce_sum(nm.sub(p["a"], p["row"]))),
@@ -239,6 +239,7 @@ PRIMITIVE_SHAPES = {
     "k2": (3, 2, 2),
     "k_out1": (1, 2, 3),
     "bias": (3, 1),
+    "bias1": (1, 1),
     "k5": (3, 2, 5),
     "x11": (2, 2, 11),
 }
@@ -258,12 +259,12 @@ def test_primitive_gradients_at_100_random_points(name):
 @pytest.mark.parametrize("frozen", ["x", "w"])
 def test_conv1d_gradients_with_one_input_frozen(frozen):
     def fn(p):
-        return nm.reduce_sum(nm.square(nm.conv1d(p["x"], p["w"], stride=2, padding=1)))
+        return nm.reduce_sum(nm.square(nm.conv1d(p["x"], p["w"], p["b"], stride=2)))
 
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(2000 + trial)
-        point = {"x": _param(rng, (2, 2, 6)), "w": _param(rng, (3, 2, 3))}
+        point = {"x": _param(rng, (2, 2, 6)), "w": _param(rng, (3, 2, 3)), "b": _param(rng, (3, 1))}
         point[frozen].requires_grad = False
         worst = max(worst, nm.grad_check(fn, point))
         assert point[frozen].grad is None
@@ -271,22 +272,23 @@ def test_conv1d_gradients_with_one_input_frozen(frozen):
 
 
 class TestConv1dBias:
-    # (dtype of x and w, dtype of the bias): conv1d takes one dtype
+    # (dtype of x and w, dtype of the bias): conv1d takes one dtype. The padding p
+    # is conv1d's, that of a kernel of 2p + 1 taps
     @pytest.mark.parametrize("dtype,bias_dtype", [(np.float32, np.float32), (np.float64, np.float64)])
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (3, 0)])
     def test_bit_identical_to_separate_add(self, dtype, bias_dtype, stride, padding):
         rng = np.random.default_rng(31)
         dtypes = (dtype, dtype, bias_dtype)
-        shapes = ((4, 3, 10), (5, 3, 3), (5, 1))
+        shapes = ((4, 3, 10), (5, 3, 2 * padding + 1), (5, 1))
         arrays = [rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes)]
-        proj = rng.standard_normal((4, 5, (10 + 2 * padding - 3) // stride + 1)).astype(bias_dtype)
+        proj = rng.standard_normal((4, 5, (10 - 1) // stride + 1)).astype(bias_dtype)
         results = []
         for fused in (True, False):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             if fused:
-                out = nm.conv1d(x, w, stride=stride, padding=padding, bias=b)
-            else:
-                out = nm.add(nm.conv1d(x, w, stride=stride, padding=padding), b)
+                out = nm.conv1d(x, w, b, stride=stride)
+            else:  # + 0.0, then + b: the bits of + b for any b but -0.0
+                out = nm.add(nm.conv1d(x, w, np.zeros((5, 1), dtype), stride=stride), b)
             nm.backward(nm.reduce_sum(nm.mul(out, Tensor(proj))))
             results.append([out.data, x.grad, w.grad, b.grad])
         assert results[0][1].dtype == dtype  # x's gradient keeps x's dtype
@@ -297,33 +299,33 @@ class TestConv1dBias:
 
     def test_rejects_bias_of_wrong_shape(self):
         with pytest.raises(ShapeError, match="bias"):
-            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), bias=Tensor(np.ones(4)))
+            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), Tensor(np.ones(4)))
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (3, 0)])
     def test_rejects_bias_of_another_dtype(self, stride, padding):
-        x, w = (Tensor(np.ones(s, dtype=np.float32)) for s in ((4, 3, 10), (5, 3, 3)))
+        x, w = (Tensor(np.ones(s, dtype=np.float32)) for s in ((4, 3, 10), (5, 3, 2 * padding + 1)))
         with pytest.raises(ShapeError, match="one dtype, got float32, float32, float64"):
-            nm.conv1d(x, w, stride=stride, padding=padding, bias=Tensor(np.ones((5, 1))))
+            nm.conv1d(x, w, Tensor(np.ones((5, 1))), stride=stride)
 
     def test_rejects_kernel_of_another_dtype(self):
-        x = Tensor(np.ones((4, 3, 10), dtype=np.float32))
-        with pytest.raises(ShapeError, match="one dtype, got float32, float64"):
-            nm.conv1d(x, Tensor(np.ones((5, 3, 3))), padding=1)
+        x, b = (Tensor(np.ones(s, dtype=np.float32)) for s in ((4, 3, 10), (5, 1)))
+        with pytest.raises(ShapeError, match="one dtype, got float32, float64, float32"):
+            nm.conv1d(x, Tensor(np.ones((5, 3, 3))), b)
 
 
 class TestConv1dInputGradient:
-    # (kernel, stride, padding, length): stride 1 and 2, padding above kernel - 1,
-    # kernel 5 strided, stride above kernel, a kernel as long as the input, and
-    # windows that lie mostly in the padding
-    CASES = [(3, 1, 1, 8), (3, 2, 1, 8), (3, 1, 3, 6), (3, 2, 3, 7), (5, 2, 2, 9),
-             (3, 4, 1, 11), (2, 3, 0, 9), (1, 1, 0, 4), (4, 1, 0, 4), (3, 5, 4, 2)]
+    # (kernel, stride, padding, length), padding = kernel // 2 as conv1d pads: stride 1
+    # and 2, kernel 5 strided, stride above kernel, a kernel as long as the input, and
+    # kernel 1
+    CASES = [(3, 1, 1, 8), (3, 2, 1, 8), (5, 2, 2, 9), (3, 4, 1, 11), (2, 3, 1, 9),
+             (1, 1, 0, 4), (4, 1, 2, 4)]
 
     @pytest.mark.parametrize("kernel,stride,padding,length", CASES)
     def test_matches_col2im_loop(self, kernel, stride, padding, length):
         rng = np.random.default_rng(41)
         x = Tensor(rng.standard_normal((2, 3, length)), requires_grad=True)
         w = rng.standard_normal((4, 3, kernel))
-        out = nm.conv1d(x, Tensor(w), stride=stride, padding=padding)
+        out = nm.conv1d(x, Tensor(w), np.zeros((4, 1)), stride=stride)
         g = rng.standard_normal(out.shape)
         nm.backward(nm.reduce_sum(nm.mul(out, Tensor(g))))
         ref = np.zeros((2, 3, length + 2 * padding))
@@ -333,17 +335,19 @@ class TestConv1dInputGradient:
         assert x.grad.flags.c_contiguous
 
 
-def _conv1d_oracle(x, w, b, g, stride, padding):
+def _conv1d_oracle(x, w, b, g, stride):
     """conv1d's output and (gx, gw, gb) as the np.pad + sliding_window_view im2col
-    and the spread-buffer transposed convolution compute them; an oracle only."""
+    and the spread-buffer transposed convolution compute them, with padding K // 2;
+    an oracle only."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     batch, c_in, length = x.shape
     c_out, _, kernel = w.shape
+    padding = kernel // 2
     l_out = (length + 2 * padding - kernel) // stride + 1
 
     def columns():
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
         windows = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
         return windows.transpose(0, 1, 3, 2).reshape(batch, c_in * kernel, l_out)
 
@@ -351,13 +355,9 @@ def _conv1d_oracle(x, w, b, g, stride, padding):
     data += b
     gb = g.sum(axis=0).sum(axis=1, keepdims=True)
     gw = (g @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    offset = kernel - 1 - padding
-    first = -(-max(0, -offset) // stride)
-    last = min(l_out, -(-(length + padding) // stride))
     spread = np.zeros((batch, c_out, length + kernel - 1), dtype=g.dtype)
-    if last > first:
-        start = offset + first * stride
-        spread[:, :, start : start + (last - first) * stride : stride] = g[:, :, first:last]
+    for j in range(l_out):  # an index past the buffer's end raises
+        spread[:, :, j * stride + kernel - 1 - padding] = g[:, :, j]
     windows = sliding_window_view(spread, kernel, axis=2)[:, :, :, ::-1]
     cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
     gx = w.transpose(1, 0, 2).reshape(c_in, c_out * kernel) @ cols
@@ -389,79 +389,78 @@ class TestConv1dUpsample:
         rng = np.random.default_rng(71)
         cases = 0
         for factor in (1, 2, 3):
-            for padding in (0, 1, 2):
+            for kernel in (1, 3, 5):  # conv1d pads 0, 1 and 2
                 for stride in (1, 2):
                     for slope in (None, 0.2):
                         arrays = [rng.standard_normal(s).astype(dtype)
-                                  for s in ((4, c_in, 5), (2, c_in, 3), (2, 1))]
-                        proj = rng.standard_normal((4, 2, (5 * factor + 2 * padding - 3) // stride + 1))
+                                  for s in ((4, c_in, 5), (2, c_in, kernel), (2, 1))]
+                        proj = rng.standard_normal((4, 2, (5 * factor - 1) // stride + 1))
                         results = []
                         for fused in (True, False):
                             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-                            kwargs = dict(stride=stride, padding=padding, bias=b, slope=slope)
+                            kwargs = dict(stride=stride, slope=slope)
                             if fused:
-                                out = nm.conv1d(x, w, upsample=factor, **kwargs)
+                                out = nm.conv1d(x, w, b, upsample=factor, **kwargs)
                             else:
-                                out = nm.conv1d(_upsample_oracle(x, factor), w, **kwargs)
+                                out = nm.conv1d(_upsample_oracle(x, factor), w, b, **kwargs)
                             nm.backward(nm.reduce_sum(nm.mul(out, Tensor(proj.astype(dtype)))))
                             results.append([out.data, x.grad, w.grad, b.grad])
                         for a, e in zip(*results):
                             assert a.dtype == e.dtype and a.shape == e.shape
-                            assert a.tobytes() == e.tobytes(), (factor, padding, stride, slope)
+                            assert a.tobytes() == e.tobytes(), (factor, kernel, stride, slope)
                         cases += 1
         assert cases == 36
 
 
 class TestConv1dBitIdentity:
-    """conv1d's strided-view columns equal the oracle's bit for bit: padding above
-    K - 1, stride above K, and one input or output channel (columns that can be views)."""
+    """conv1d's strided-view columns equal the oracle's bit for bit: even and odd
+    kernels, stride above K, a kernel longer than the input, and one input or output
+    channel (columns that can be views)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out", [(1, 1), (1, 2), (3, 1), (3, 2)])
     def test_grid_matches_oracle(self, dtype, c_in, c_out):
-        assert self._grid(dtype, c_in, c_out) == 264
+        assert self._grid(dtype, c_in, c_out) == 120
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out", [(1, 2), (3, 2)])
     def test_grid_matches_oracle_one_row_per_block(self, dtype, c_in, c_out, monkeypatch):
         monkeypatch.setattr(nm, "_BLOCK_BYTES", 1)  # every sample is its own block
-        assert self._grid(dtype, c_in, c_out) == 264
+        assert self._grid(dtype, c_in, c_out) == 120
 
     @staticmethod
     def _grid(dtype, c_in, c_out):
         rng = np.random.default_rng(43)
         cases = 0
         for length in (1, 2, 5, 6, 11, 24):
-            for kernel in (1, 3, 5):
+            for kernel in (1, 2, 3, 4, 5):
                 for stride in (1, 2, 3, 4):
-                    for padding in (0, 1, 2, 3):
-                        if (length + 2 * padding - kernel) // stride + 1 < 1:
-                            continue
-                        x = rng.standard_normal((3, c_in, length)).astype(dtype)
-                        w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
-                        b = rng.standard_normal((c_out, 1)).astype(dtype)
-                        before = x.copy()
-                        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-                        out = nm.conv1d(xt, wt, stride=stride, padding=padding, bias=bt)
-                        g = rng.standard_normal(out.shape).astype(dtype)
-                        got = (out.data, *out._backward(g))
-                        want = _conv1d_oracle(x, w, b, g, stride, padding)
-                        for a, e in zip(got, want):
-                            assert a.dtype == e.dtype and a.shape == e.shape
-                            assert a.tobytes() == e.tobytes(), (length, kernel, stride, padding)
-                        assert xt.data is x and x.tobytes() == before.tobytes()
-                        cases += 1
+                    x = rng.standard_normal((3, c_in, length)).astype(dtype)
+                    w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+                    b = rng.standard_normal((c_out, 1)).astype(dtype)
+                    before = x.copy()
+                    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                    out = nm.conv1d(xt, wt, bt, stride=stride)
+                    g = rng.standard_normal(out.shape).astype(dtype)
+                    got = (out.data, *out._backward(g))
+                    want = _conv1d_oracle(x, w, b, g, stride)
+                    for a, e in zip(got, want):
+                        assert a.dtype == e.dtype and a.shape == e.shape
+                        assert a.tobytes() == e.tobytes(), (length, kernel, stride)
+                    assert xt.data is x and x.tobytes() == before.tobytes()
+                    cases += 1
         return cases
 
     @pytest.mark.parametrize("padding", [0, 2])
     def test_non_contiguous_input_matches_oracle(self, padding):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((3, 2, 20))[:, :, ::2]  # strided view, not C-contiguous
-        w, b = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 1))
+        # conv1d pads ``padding`` at each edge for a kernel of 2 * padding + 1 taps
+        w, b = rng.standard_normal((4, 2, 2 * padding + 1)), rng.standard_normal((4, 1))
         out = nm.conv1d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
-                        stride=2, padding=padding, bias=Tensor(b, requires_grad=True))
+                        Tensor(b, requires_grad=True), stride=2)
         g = rng.standard_normal(out.shape)
-        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, 2, padding)):
+        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, 2)):
             assert a.tobytes() == e.tobytes()
 
 
@@ -480,8 +479,8 @@ class TestConv1dBlocks:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("blocks", ["one", "two", "ragged", "empty"])
     def test_blocks_match_oracle(self, dtype, c_in, c_out, stride, blocks):
-        length, kernel, padding = 512, 3, 1
-        l_out = (length + 2 * padding - kernel) // stride + 1
+        length, kernel = 512, 3
+        l_out = (length - 1) // stride + 1
         rows = _rows_per_block(c_in, c_out, length, l_out, kernel, np.dtype(dtype).itemsize)
         assert rows >= 2  # so that a ragged last block is shorter than a full one
         batch = {"one": rows, "two": 2 * rows, "ragged": 3 * rows - 1, "empty": 0}[blocks]
@@ -490,9 +489,9 @@ class TestConv1dBlocks:
         w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
         b = rng.standard_normal((c_out, 1)).astype(dtype)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        out = nm.conv1d(xt, wt, stride=stride, padding=padding, bias=bt)
+        out = nm.conv1d(xt, wt, bt, stride=stride)
         g = rng.standard_normal(out.shape).astype(dtype)
-        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, stride, padding)):
+        for a, e in zip((out.data, *out._backward(g)), _conv1d_oracle(x, w, b, g, stride)):
             assert a.dtype == e.dtype and a.shape == e.shape
             assert a.tobytes() == e.tobytes()
 
@@ -501,10 +500,10 @@ class TestConv1dBlocks:
         rng = np.random.default_rng(67)
         x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
                    for s in ((5, 3, 16), (4, 3, 3), (4, 1)))
-        out = nm.conv1d(x, w, stride=2, padding=1, bias=b, slope=0.2)
+        out = nm.conv1d(x, w, b, stride=2, slope=0.2)
         grads = out._backward(rng.standard_normal(out.shape))
         kept = [a.copy() for a in (out.data, *grads)]
-        other = nm.conv1d(Tensor(rng.standard_normal((5, 3, 16)), requires_grad=True), w, padding=1)
+        other = nm.conv1d(Tensor(rng.standard_normal((5, 3, 16)), requires_grad=True), w, b)
         other._backward(rng.standard_normal(other.shape))  # reuses the arena's buffers
         for a, k in zip((out.data, *grads), kept):
             assert not np.shares_memory(a, vars(nm._arena)[np.dtype(np.float64)])
@@ -541,9 +540,9 @@ class TestConv1dSlope:
         for fused in (True, False):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
             if fused:
-                out = nm.conv1d(x, w, stride=1, padding=1, bias=b, slope=slope)
+                out = nm.conv1d(x, w, b, slope=slope)
             else:
-                pre = nm.conv1d(x, w, stride=1, padding=1, bias=b)
+                pre = nm.conv1d(x, w, b)
                 out = nm.leaky_relu(pre, slope=slope)
             nm.backward(nm.reduce_sum(nm.mul(out, Tensor(arrays[3]))))
             results.append([out.data, x.grad, w.grad, b.grad])
@@ -564,7 +563,7 @@ class TestConv1dSlope:
         outs = []
         for taped in (True, False):
             x, w, b = (Tensor(a, requires_grad=taped) for a in arrays)
-            outs.append(nm.conv1d(x, w, padding=1, bias=b, slope=slope, upsample=upsample))
+            outs.append(nm.conv1d(x, w, b, slope=slope, upsample=upsample))
         assert outs[1]._backward is None and not outs[1].requires_grad
         assert outs[0].data.tobytes() == outs[1].data.tobytes()
 
@@ -575,7 +574,7 @@ class TestConv1dSlope:
                    for s in ((64, 8, 128), (8, 8, 3), (8, 1)))
 
         def call():
-            return nm.conv1d(x, w, padding=1, bias=b, slope=0.2, upsample=2)
+            return nm.conv1d(x, w, b, slope=0.2, upsample=2)
 
         out_bytes = call().data.nbytes  # the first call also grows the scratch arena
         assert peak_bytes(call) <= 1.1 * out_bytes  # a bool mask would add 1 / itemsize
@@ -583,30 +582,45 @@ class TestConv1dSlope:
     @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
     def test_rejects_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match="slope"):
-            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), slope=slope)
+            nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), np.zeros((4, 1)),
+                      slope=slope)
 
 
 class TestConv1dArguments:
-    def test_negative_padding_rejected(self):
-        with pytest.raises(ShapeError, match="padding"):
-            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), padding=-1)
+    X, W, B = Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), Tensor(np.zeros((4, 1)))
+
+    def test_padding_argument_rejected(self):
+        # conv1d takes its padding, kernel // 2, from the kernel
+        with pytest.raises(TypeError, match="padding"):
+            nm.conv1d(self.X, self.W, self.B, padding=1)
+
+    def test_bias_required(self):
+        with pytest.raises(TypeError, match="bias"):
+            nm.conv1d(self.X, self.W)
+        with pytest.raises(TypeError, match="bias"):
+            nm.conv1d(self.X, self.W, stride=2)
+
+    @pytest.mark.parametrize("kernel,length", [(3, 0), (2, 0), (0, 10)])
+    def test_empty_input_or_kernel_rejected(self, kernel, length):
+        with pytest.raises(ShapeError, match="non-empty"):
+            nm.conv1d(Tensor(np.ones((1, 2, length))), Tensor(np.ones((4, 2, kernel))), self.B)
 
     def test_zero_upsample_rejected(self):
         with pytest.raises(ShapeError, match="upsample"):
-            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), upsample=0)
+            nm.conv1d(self.X, self.W, self.B, upsample=0)
 
     @pytest.mark.parametrize(
         "knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}, {"upsample": 1.5}]
     )
     def test_non_integer_stride_or_padding_rejected(self, knob):
         with pytest.raises(TypeError):
-            nm.conv1d(Tensor(np.ones((1, 2, 10))), Tensor(np.ones((4, 2, 3))), **knob)
+            nm.conv1d(self.X, self.W, self.B, **knob)
 
     def test_numpy_integers_accepted(self):
         rng = np.random.default_rng(53)
         x, w = Tensor(rng.standard_normal((2, 2, 9))), Tensor(rng.standard_normal((4, 2, 3)))
-        ref = nm.conv1d(x, w, stride=2, padding=1, upsample=2).data
-        got = nm.conv1d(x, w, stride=np.int64(2), padding=np.int32(1), upsample=np.int16(2)).data
+        ref = nm.conv1d(x, w, self.B, stride=2, upsample=2).data
+        got = nm.conv1d(x, w, self.B, stride=np.int64(2), upsample=np.int16(2)).data
         assert got.tobytes() == ref.tobytes()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from vawgan import features as F
 from vawgan import model as md
+from vawgan import numerics as nm
 from vawgan import training as tr
 from vawgan.errors import DataError, UnknownSpeakerError
 from vawgan.model import NetworkConfig
@@ -75,6 +76,19 @@ class TestWarmupStep:
         )
         assert breakdown.alpha == 0.0
         assert breakdown.j_lat >= 0.0 and np.isfinite(breakdown.total)
+
+    def test_float64_pools_leave_every_warmup_tape_node_float32(self, frames, monkeypatch):
+        losses, backward = [], nm.backward
+        monkeypatch.setattr(nm, "backward", lambda out: (losses.append(out), backward(out)))
+        tr.warmup_step(_params(), [f.astype(np.float64) for f in frames], SMALL, RngState(6), {})
+        nodes, stack = {}, list(losses)
+        while stack:  # every node on the loss's tape, constants and parameters too
+            t = stack.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                stack.extend(t._parents)
+        assert len(losses) == 1 and len(nodes) > 50
+        assert sorted({t.op for t in nodes.values() if t.data.dtype != np.float32}) == []
 
 
 class TestSpeakerIds:
