@@ -47,20 +47,29 @@ class NumericError(Exception):
     """Non-finite values encountered where finite ones are required."""
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as a Python int, or DataError naming ``name``; NumPy integers pass, 1.5 does not."""
+def _index(value):
+    """``operator.index(value)``, or None for a non-integer; a bool is a flag, not 0 or 1."""
     try:
-        return operator.index(value)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
+        return None
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int, or DataError naming ``name``; NumPy integers pass,
+    1.5 and True do not."""
+    result = _index(value)
+    if result is None:
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return result
 
 
 def as_speaker(value, count: int) -> int:
-    """``value`` as a Python int in [0, count), or UnknownSpeakerError; NumPy integers pass."""
-    try:
-        speaker = operator.index(value)
-    except TypeError:
-        raise UnknownSpeakerError(f"speaker id must be an integer, got {value!r}") from None
+    """``value`` as a Python int in [0, count), or UnknownSpeakerError; NumPy integers pass,
+    1.5 and True do not."""
+    speaker = _index(value)
+    if speaker is None:
+        raise UnknownSpeakerError(f"speaker id must be an integer, got {value!r}")
     if not 0 <= speaker < count:
         raise UnknownSpeakerError(f"speaker id {speaker} outside the {count} known speakers")
     return speaker

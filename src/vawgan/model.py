@@ -19,9 +19,16 @@ float32; a ``Tensor`` input passes through as it is, and ``conv1d``
 rejects one of another dtype.
 
 A NaN or inf in any conv block, head or output layer raises
-``NumericError`` naming that layer. The generator's output layer is
-checked before tanh and the log-variance head before its clamp, which
-would otherwise turn an inf into a finite number.
+``NumericError`` naming that layer. Each network scans only its outputs:
+the encoder's mu head and its log-variance head before the clamp, the
+generator's output conv before tanh, and the critic's score; the clamp
+and tanh would otherwise turn an inf into a finite number. Every op in
+between carries a non-finite input into at least one non-finite output
+(an encoder or critic stride is at most ``max_stride``, so every input
+position is read), so an activation can only go non-finite unseen at
+those points. When an output scan fails, the network runs again from the
+same input with every layer scanned, and the first non-finite layer is
+named. The networks are pure, so the re-run sees the same values.
 
 Layer counts, widths and strides are config-driven defaults sized for
 CPU training, not a reproduction of any particular architecture; the
@@ -48,6 +55,9 @@ class NetworkConfig:
 
     kernel_size: ClassVar[int] = 3
     padding: ClassVar[int] = kernel_size // 2  # the padding conv1d applies at each edge
+    # the widest stride whose windows read every input position at every length: output j
+    # reads s*j - p .. s*j + p, and the last of the (L - 1) // s + 1 outputs must reach L - 1
+    max_stride: ClassVar[int] = padding + 1
     leaky_slope: ClassVar[float] = 0.2
     logvar_bound: ClassVar[float] = 14.0
     dim: int
@@ -83,6 +93,10 @@ class NetworkConfig:
                 raise DataError(f"{net}_channels and {net}_{step} must have equal length")
             if min(factors) < 1:
                 raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
+            if step == "strides" and max(factors) > self.max_stride:
+                # a wider stride leaves input positions unread: their features are lost,
+                # and so is a NaN there, which no output scan would then see
+                raise DataError(f"{net}_strides must all be <= {self.max_stride}, got {factors}")
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
@@ -254,22 +268,34 @@ def _ensure_finite(t: Tensor, where: str):
         raise NumericError(f"non-finite activation in {where}")
 
 
+def _located(forward, *args):
+    """``forward(*args, locate=False)``, which scans only the network's outputs. If
+    one is non-finite, the forward runs again with ``locate=True``, scanning every
+    layer, and raises NumericError naming the first non-finite one."""
+    try:
+        return forward(*args, locate=False)
+    except NumericError:
+        pass
+    return forward(*args, locate=True)
+
+
 def _as_input(x, like: Tensor) -> Tensor:
     """An array as a constant of ``like``'s dtype; a Tensor passes through unchanged."""
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _conv_block(h: Tensor, tensors, idx: int, stride: int, config: NetworkConfig, net: str,
-                upsample: int = 1):
+                locate: bool, upsample: int = 1):
     h = nm.conv1d(
         h, tensors[f"conv{idx}.w"], bias=tensors[f"conv{idx}.b"], stride=stride,
         slope=config.leaky_slope, upsample=upsample,
     )
-    _ensure_finite(h, f"{net} conv layer {idx}")
+    if locate:
+        _ensure_finite(h, f"{net} conv layer {idx}")
     return h
 
 
-def _conv_trunk(x, params, strides, caller: str, net: str) -> Tensor:
+def _conv_trunk(x, params, strides, caller: str, net: str, locate: bool) -> Tensor:
     """(batch, dim) frames through a strided conv stack, flattened to (batch, C * L)."""
     config = params.config
     x = _as_input(x, params.tensors["conv0.w"])
@@ -278,14 +304,18 @@ def _conv_trunk(x, params, strides, caller: str, net: str) -> Tensor:
     batch = x.shape[0]
     h = nm.reshape(x, (batch, 1, config.dim))
     for i, stride in enumerate(strides):
-        h = _conv_block(h, params.tensors, i, stride, config, net)
+        h = _conv_block(h, params.tensors, i, stride, config, net, locate)
     return nm.reshape(h, (batch, h.shape[1] * h.shape[2]))
 
 
 def encode(x, params: EncoderParams):
     """Posterior statistics for a batch of normalized frames: (mu, log_var)."""
+    return _located(_encode, x, params)
+
+
+def _encode(x, params: EncoderParams, locate: bool):
     cfg = params.config
-    h = _conv_trunk(x, params, cfg.encoder_strides, "encode", "encoder")
+    h = _conv_trunk(x, params, cfg.encoder_strides, "encode", "encoder", locate)
     mu = nm.add(nm.matmul(h, params.tensors["mu.w"]), params.tensors["mu.b"])
     log_var = nm.add(nm.matmul(h, params.tensors["logvar.w"]), params.tensors["logvar.b"])
     _ensure_finite(mu, "encoder mu head")
@@ -313,6 +343,10 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
 
 def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     """Decode latent content conditioned on a speaker; output in (-1, 1)."""
+    return _located(_generate, z, speaker_id, params)
+
+
+def _generate(z, speaker_id: int, params: GeneratorParams, locate: bool) -> Tensor:
     cfg = params.config
     z = _as_input(z, params.tensors["merge.w"])
     if z.data.ndim != 2 or z.shape[1] != cfg.z_dim:
@@ -329,11 +363,12 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
     h = nm.concat([z, y], axis=1)
     h = nm.add(nm.matmul(h, params.tensors["merge.w"]), params.tensors["merge.b"])
     h = nm.leaky_relu(h, slope=cfg.leaky_slope)
-    _ensure_finite(h, "generator merge layer")
+    if locate:
+        _ensure_finite(h, "generator merge layer")
 
     h = nm.reshape(h, (batch, cfg.generator_channels[0], cfg.generator_seed_length))
     for i, factor in enumerate(cfg.generator_upsamples):
-        h = _conv_block(h, params.tensors, i, 1, cfg, "generator", upsample=factor)
+        h = _conv_block(h, params.tensors, i, 1, cfg, "generator", locate, upsample=factor)
     h = nm.conv1d(h, params.tensors["out.w"], bias=params.tensors["out.b"])
     _ensure_finite(h, "generator output layer")  # tanh would turn an inf into ±1
     h = nm.tanh(h)
@@ -342,7 +377,11 @@ def generate(z, speaker_id: int, params: GeneratorParams) -> Tensor:
 
 def criticize(x, params: CriticParams) -> Tensor:
     """Unbounded real score per frame; higher means more target-like."""
-    h = _conv_trunk(x, params, params.config.critic_strides, "criticize", "critic")
+    return _located(_criticize, x, params)
+
+
+def _criticize(x, params: CriticParams, locate: bool) -> Tensor:
+    h = _conv_trunk(x, params, params.config.critic_strides, "criticize", "critic", locate)
     h = nm.add(nm.matmul(h, params.tensors["out.w"]), params.tensors["out.b"])
     _ensure_finite(h, "critic output head")
     return nm.reshape(h, (h.shape[0],))

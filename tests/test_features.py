@@ -152,8 +152,9 @@ class TestFrameMatrix:
             FrameMatrix(0, np.zeros(shape))
 
     def test_speaker_id_must_be_an_integer(self, tmp_path):
-        with pytest.raises(DataError, match="speaker_id must be an integer"):
-            FrameMatrix(1.5, [[1.0]])
+        for speaker in (1.5, True):
+            with pytest.raises(DataError, match="speaker_id must be an integer"):
+                FrameMatrix(speaker, [[1.0]])
         fm = FrameMatrix(np.int64(3), [[1.0]])
         ft.write_frames(fm, tmp_path / "a.vawf")
         assert ft.read_frames(tmp_path / "a.vawf").speaker_id == 3

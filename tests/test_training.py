@@ -93,7 +93,7 @@ class TestWarmupStep:
 
 class TestSpeakerIds:
     @pytest.mark.parametrize("step", [tr.critic_step, tr.joint_step], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("source, target", [(-1, 1), (5, 1), (0, 2), (0, -2), (0.0, 1)])
+    @pytest.mark.parametrize("source, target", [(-1, 1), (5, 1), (0, 2), (0, -2), (0.0, 1), (0, True), (False, 1)])
     def test_unknown_speaker_rejected_before_any_draw(self, frames, step, source, target):
         params, rng, state = _params(), RngState(seed=7, counter=4), {}
         before = {name: t.data.copy() for name, t in params.named_parameters().items()}
