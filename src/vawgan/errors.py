@@ -4,8 +4,9 @@ Three families matter to callers: shape/graph misuse (ShapeError),
 bad data or files (DataError and subclasses), and numerical blow-ups
 (NumericError). Exit codes 1/2/3 are reserved for them, in that order,
 for the planned command-line interface; the package has none yet.
-``as_integer`` is the shared check that turns a non-integer setting
-into a DataError naming it; ``as_speaker`` is the one speaker-id lookup.
+``as_integer`` is the one integer check: it turns a non-integer or a
+bool into an error naming the setting, a DataError unless another type
+is asked for; ``as_speaker`` is the one speaker-id lookup.
 """
 
 import operator
@@ -55,12 +56,12 @@ def _index(value):
         return None
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as a Python int, or DataError naming ``name``; NumPy integers pass,
+def as_integer(name: str, value, error: type[Exception] = DataError) -> int:
+    """``value`` as a Python int, or ``error`` naming ``name``; NumPy integers pass,
     1.5 and True do not."""
     result = _index(value)
     if result is None:
-        raise DataError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return result
 
 

@@ -12,7 +12,6 @@ computable in closed form and keeps the learning task honest to check.
 
 from __future__ import annotations
 
-import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -232,10 +231,7 @@ class GroundTruth:
     def clean_frame(self, speaker_id: int, cluster: int) -> np.ndarray:
         speaker_id = as_speaker(speaker_id, len(self.maps))
         count = self.prototypes.shape[0]
-        try:
-            index = operator.index(cluster)  # NumPy integers pass, 1.5 does not
-        except TypeError:
-            index = -1
+        index = as_integer("cluster", cluster)  # NumPy integers pass, 1.5 and True do not
         if not 0 <= index < count:  # a negative index would wrap to another cluster
             raise DataError(f"cluster must be an integer in [0, {count}), got {cluster!r}")
         return self.maps[speaker_id] @ self.prototypes[index] + self.biases[speaker_id]

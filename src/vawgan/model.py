@@ -24,15 +24,18 @@ the encoder's mu head and its log-variance head before the clamp, the
 generator's output conv before tanh, and the critic's score; the clamp
 and tanh would otherwise turn an inf into a finite number. Every op in
 between carries a non-finite input into at least one non-finite output
-(an encoder or critic stride is at most ``max_stride``, so every input
-position is read), so an activation can only go non-finite unseen at
-those points. When an output scan fails, the network runs again from the
-same input with every layer scanned, and the first non-finite layer is
-named. The networks are pure, so the re-run sees the same values.
+(every encoder and critic stride is at most K // 2 + 1, so the window of
+the last output reaches the last input position at every length), so an
+activation can only go non-finite unseen at those points. When an output
+scan fails, the network runs again from the same input with every layer
+scanned, and the first non-finite layer is named. The networks are pure,
+so the re-run sees the same values.
 
-Layer counts, widths and strides are config-driven defaults sized for
-CPU training, not a reproduction of any particular architecture; the
-kernel size, slope and log-variance clamp are fixed constants.
+The architecture (latent and embedding widths, layer counts, widths,
+strides and upsampling factors, kernel size, slope and log-variance
+clamp) is fixed: class constants of ``NetworkConfig`` sized for CPU
+training, not a reproduction of any particular architecture. A config
+holds only the corpus's shape: the frame width and the speaker count.
 """
 
 from __future__ import annotations
@@ -50,64 +53,37 @@ from .numerics import RngState, Tensor
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Shared architecture knobs for all three networks. The kernel size,
-    leaky-ReLU slope and log-variance clamp are class constants, not fields."""
+    """The corpus's shape: the frame width ``dim`` and the number of speakers. The
+    architecture of all three networks is class constants, not fields."""
 
+    z_dim: ClassVar[int] = 64
+    embedding_dim: ClassVar[int] = 16
+    encoder_channels: ClassVar[tuple[int, ...]] = (8, 8, 8)
+    # encoder and critic strides are at most kernel_size // 2 + 1: every input position is read
+    encoder_strides: ClassVar[tuple[int, ...]] = (1, 2, 2)
+    generator_channels: ClassVar[tuple[int, ...]] = (8, 8, 8)
+    generator_upsamples: ClassVar[tuple[int, ...]] = (2, 2, 2)
+    _upsample_product: ClassVar[int] = math.prod(generator_upsamples)
+    critic_channels: ClassVar[tuple[int, ...]] = (8, 8, 8)
+    critic_strides: ClassVar[tuple[int, ...]] = (1, 2, 2)
     kernel_size: ClassVar[int] = 3
     padding: ClassVar[int] = kernel_size // 2  # the padding conv1d applies at each edge
-    # the widest stride whose windows read every input position at every length: output j
-    # reads s*j - p .. s*j + p, and the last of the (L - 1) // s + 1 outputs must reach L - 1
-    max_stride: ClassVar[int] = padding + 1
     leaky_slope: ClassVar[float] = 0.2
     logvar_bound: ClassVar[float] = 14.0
     dim: int
-    z_dim: int = 64
     num_speakers: int = 2
-    embedding_dim: int = 16
-    encoder_channels: tuple[int, ...] = (8, 8, 8)
-    encoder_strides: tuple[int, ...] = (1, 2, 2)
-    generator_channels: tuple[int, ...] = (8, 8, 8)
-    generator_upsamples: tuple[int, ...] = (2, 2, 2)
-    critic_channels: tuple[int, ...] = (8, 8, 8)
-    critic_strides: tuple[int, ...] = (1, 2, 2)
 
     def __post_init__(self):
-        # frozen, so the checked Python ints are stored with object.__setattr__
-        for name in ("dim", "z_dim", "num_speakers", "embedding_dim"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        for name in ("dim", "z_dim", "embedding_dim", "num_speakers"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for net, step in (("encoder", "strides"), ("generator", "upsamples"), ("critic", "strides")):
-            for name in (f"{net}_channels", f"{net}_{step}"):
-                value = getattr(self, name)
-                try:
-                    entries = tuple(value)
-                except TypeError:
-                    raise DataError(f"{name} must be a sequence of integers, got {value!r}") from None
-                object.__setattr__(self, name, tuple(as_integer(f"{name} entry", v) for v in entries))
-            channels, factors = getattr(self, f"{net}_channels"), getattr(self, f"{net}_{step}")
-            if not channels or min(channels) < 1:
-                raise DataError(f"{net}_channels must be non-empty and all >= 1, got {channels}")
-            if len(channels) != len(factors):
-                raise DataError(f"{net}_channels and {net}_{step} must have equal length")
-            if min(factors) < 1:
-                raise DataError(f"{net}_{step} must all be >= 1, got {factors}")
-            if step == "strides" and max(factors) > self.max_stride:
-                # a wider stride leaves input positions unread: their features are lost,
-                # and so is a NaN there, which no output scan would then see
-                raise DataError(f"{net}_strides must all be <= {self.max_stride}, got {factors}")
+        for name in ("dim", "num_speakers"):
+            value = as_integer(name, getattr(self, name))
+            if value < 1:
+                raise DataError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)  # frozen: store the checked Python int
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
                 f"{self._upsample_product}"
             )
-        # conv1d pads kernel // 2 at each edge, which keeps every conv output length
-        # >= 1, so strided stacks cannot collapse the signal
-
-    @property
-    def _upsample_product(self) -> int:
-        return math.prod(self.generator_upsamples)
 
     @property
     def generator_seed_length(self) -> int:

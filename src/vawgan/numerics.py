@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, as_integer
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -291,7 +291,8 @@ def conv1d(x, w, bias, stride: int = 1, slope=None, upsample: int = 1) -> Tensor
     rebuilds them from ``x.data``: do not mutate ``x`` before ``backward``.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(bias)
-    stride, upsample = operator.index(stride), operator.index(upsample)
+    stride = as_integer("conv1d: stride", stride, TypeError)
+    upsample = as_integer("conv1d: upsample", upsample, TypeError)
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
     if upsample < 1:
@@ -631,8 +632,9 @@ class RngState:
     counter: int = 0
 
     def __post_init__(self):
-        # operator.index, not int(): 1.5 and "3" are rejected, not truncated or parsed
-        self.seed, self.counter = operator.index(self.seed), operator.index(self.counter)
+        # not int(): 1.5 and "3" are rejected, not truncated or parsed, and True is not 1
+        self.seed = as_integer("seed", self.seed, TypeError)
+        self.counter = as_integer("counter", self.counter, TypeError)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in u64, got {self.seed}")
         if self.counter < 0:

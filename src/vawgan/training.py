@@ -13,14 +13,14 @@ every reparameterization draw from the ``RngState`` it is given, so a
 run is reproducible from ``(seed, counter)`` and the optimizer state.
 
 ``frames`` is indexed by speaker id: ``frames[s]`` holds normalized
-(N_s, dim) frames of speaker ``s``, N_s >= 1 (an empty pool raises
+(N_s, dim) frames of speaker ``s``, N_s >= 1, one pool per speaker of the
+model (any other pool count or width, or an empty pool, raises
 ``DataError`` before any draw). The VAE terms average one batch of
 every speaker, each reconstructed with its own embedding.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -30,7 +30,7 @@ import numpy as np
 from . import model as M
 from . import numerics as nm
 from . import objectives as O
-from .errors import DataError, as_speaker
+from .errors import DataError, as_integer, as_speaker
 from .numerics import RngState, Tensor
 
 # decay and epsilon of the RMSProp used by the reference WGAN code
@@ -63,10 +63,7 @@ class TrainConfig:
         # chained comparison, so that NaN and infinity are rejected too
         if not 0 <= self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        try:
-            batch_size = operator.index(self.batch_size)  # NumPy integers pass, 2.5 does not
-        except TypeError:
-            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}") from None
+        batch_size = as_integer("batch_size", self.batch_size, ValueError)
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         object.__setattr__(self, "batch_size", batch_size)  # a Python int, so it serializes
@@ -87,11 +84,18 @@ def rmsprop_update(params: M.ModelParams, mean_square: dict):
         t.data -= LEARNING_RATE * t.grad / (np.sqrt(ms) + RMSPROP_EPS)
 
 
-def _check_pools(frames):
-    """DataError naming the first speaker without frames; called before any draw."""
+def _check_pools(params: M.ModelParams, frames):
+    """DataError unless there is one non-empty pool of ``dim``-wide frames per speaker
+    of the model; called before any draw."""
+    speakers, dim = params.generator.num_speakers, params.generator.config.dim
+    if len(frames) != speakers:
+        raise DataError(f"{len(frames)} frame pools for a model of {speakers} speakers")
     for speaker, pool in enumerate(frames):
         if len(pool) == 0:
             raise DataError(f"speaker {speaker} has an empty frame pool")
+        if np.shape(pool)[1:] != (dim,):
+            raise DataError(f"speaker {speaker}'s frames have shape {np.shape(pool)}, "
+                            f"not (n, {dim})")
 
 
 def _draw(params: M.ModelParams, pool: np.ndarray, batch_size: int, rng: RngState) -> np.ndarray:
@@ -138,7 +142,7 @@ def warmup_step(
     ``config.alpha`` is not used: this phase is the alpha = 0 baseline.
     The critic is not evaluated, so ``j_wgan`` reads 0.
     """
-    _check_pools(frames)
+    _check_pools(params, frames)
     params.set_requires_grad(encoder=True, generator=True, critic=False)
     j_lat, j_obs, _ = _vae_terms(params, frames, config.batch_size, rng)
     params.zero_grad()
@@ -158,11 +162,11 @@ def critic_step(
 ) -> float:
     """One critic update: ascend the gap between real target frames and source
     frames converted to the target, then clip every critic weight to
-    ±``clip_bound``. Returns the gap before the update. The speaker ids and
-    the frame pools are checked before any draw, so a rejected call leaves
+    ±``clip_bound``. Returns the gap before the update. The frame pools and
+    the speaker ids are checked before any draw, so a rejected call leaves
     ``rng`` unchanged."""
+    _check_pools(params, frames)
     source, target = as_speaker(source, len(frames)), as_speaker(target, len(frames))
-    _check_pools(frames)
     params.set_requires_grad(encoder=False, generator=False, critic=True)
     x = _draw(params, frames[source], config.batch_size, rng)
     mu, log_var = M.encode(x, params.encoder)
@@ -193,7 +197,7 @@ def joint_step(
     source latent cut from the tape, so W reaches the generator only.
     The gradients of that update stay on the tensors after the step.
     """
-    _check_pools(frames)  # before the critic steps draw, as the speaker ids are
+    _check_pools(params, frames)  # before the critic steps draw, as the speaker ids are
     for _ in range(N_CRITIC):
         critic_step(params, frames, source, target, config, rng, mean_square)
 

@@ -248,8 +248,11 @@ class TestSynthetic:
     def test_clean_frame_checks_its_cluster(self):
         spec = SyntheticSpec(dim=4, num_clusters=2, frames_per_speaker=3)
         _, truth = ft.generate_synthetic(spec, RngState(1))
-        for cluster in (-1, 2, 1.0, "0", None):  # -1 would wrap to the last cluster
+        for cluster in (-1, 2):  # -1 would wrap to the last cluster
             with pytest.raises(DataError, match=r"cluster must be an integer in \[0, 2\)"):
+                truth.clean_frame(0, cluster)
+        for cluster in (1.0, "0", None, True, np.bool_(False)):  # True is not cluster 1
+            with pytest.raises(DataError, match="cluster must be an integer, got"):
                 truth.clean_frame(0, cluster)
         np.testing.assert_array_equal(truth.clean_frame(0, np.int64(1)), truth.clean_frame(0, 1))
 

@@ -610,7 +610,8 @@ class TestConv1dArguments:
             nm.conv1d(self.X, self.W, self.B, upsample=0)
 
     @pytest.mark.parametrize(
-        "knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}, {"upsample": 1.5}]
+        "knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}, {"upsample": 1.5},
+                 {"stride": True}, {"upsample": True}, {"stride": np.bool_(True)}]
     )
     def test_non_integer_stride_or_padding_rejected(self, knob):
         with pytest.raises(TypeError):
@@ -726,8 +727,9 @@ class TestRng:
         with pytest.raises(ValueError, match="counter"):
             RngState(seed=1, counter=-1)
 
-    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "3"}, {"seed": 1, "counter": 2.7}],
-                             ids=["float-seed", "string-seed", "float-counter"])
+    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "3"}, {"seed": 1, "counter": 2.7},
+                                        {"seed": True, "counter": 0}, {"seed": 1, "counter": False}],
+                             ids=["float-seed", "string-seed", "float-counter", "bool-seed", "bool-counter"])
     def test_rejects_non_integer_seed_and_counter(self, fields):
         with pytest.raises(TypeError):
             RngState(**fields)

@@ -46,6 +46,7 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"alpha": float("inf")},
             {"batch_size": 2.5},
+            {"batch_size": True},
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -115,11 +116,28 @@ class TestEmptyPools:
     def test_empty_pool_rejected_before_any_draw(self, frames, step, empty):
         pools = list(frames)
         pools[empty] = pools[empty][:0]
+        self._rejected_before_any_draw(step, pools, f"speaker {empty} has an empty frame pool")
+
+    # three pools or one for a two-speaker model, or frames of another width
+    @pytest.mark.parametrize("step", ["warmup", "critic", "joint"])
+    @pytest.mark.parametrize(
+        "pools, match",
+        [(lambda f: [*f, f[0]], "3 frame pools for a model of 2 speakers"),
+         (lambda f: f[:1], "1 frame pools for a model of 2 speakers"),
+         (lambda f: [f[0], f[1][:, :12]], r"speaker 1's frames have shape \(64, 12\), not \(n, 24\)"),
+         (lambda f: [f[0][:, None, :], f[1]], r"speaker 0's frames have shape \(64, 1, 24\)")],
+        ids=["three-pools", "one-pool", "narrow-frames", "3d-pool"],
+    )
+    def test_pools_that_do_not_fit_the_model_rejected_before_any_draw(self, frames, step, pools, match):
+        self._rejected_before_any_draw(step, pools(list(frames)), match)
+
+    @staticmethod
+    def _rejected_before_any_draw(step, pools, match):
         params, rng, state = _params(), RngState(seed=7, counter=4), {}
         before = {name: t.data.copy() for name, t in params.named_parameters().items()}
         args = (SMALL, rng, state) if step == "warmup" else (0, 1, SMALL, rng, state)
         fn = {"warmup": tr.warmup_step, "critic": tr.critic_step, "joint": tr.joint_step}[step]
-        with pytest.raises(DataError, match=f"speaker {empty} has an empty frame pool"):
+        with pytest.raises(DataError, match=match):
             fn(params, pools, *args)
         assert rng.counter == 4 and state == {}
         for name, t in params.named_parameters().items():
