@@ -4,11 +4,13 @@ Three families matter to callers: shape/graph misuse (ShapeError),
 bad data or files (DataError and subclasses), and numerical blow-ups
 (NumericError). Exit codes 1/2/3 are reserved for them, in that order,
 for the planned command-line interface; the package has none yet.
-``as_integer`` is the one integer check: it turns a non-integer or a
-bool into an error naming the setting, a DataError unless another type
-is asked for; ``as_speaker`` is the one speaker-id lookup.
+``as_integer`` and ``as_real`` are the one integer and the one float
+check: each turns a bool or a value of the wrong kind into an error
+naming the setting, a DataError unless another type is asked for;
+``as_speaker`` is the one speaker-id lookup.
 """
 
+import numbers
 import operator
 
 
@@ -63,6 +65,14 @@ def as_integer(name: str, value, error: type[Exception] = DataError) -> int:
     if result is None:
         raise error(f"{name} must be an integer, got {value!r}")
     return result
+
+
+def as_real(name: str, value, error: type[Exception] = DataError) -> float:
+    """``value`` as a Python float, or ``error`` naming ``name``; NumPy floats and
+    integers pass, True and "0.5" do not. The caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_speaker(value, count: int) -> int:

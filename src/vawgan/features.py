@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     TruncatedFileError,
     as_integer,
+    as_real,
     as_speaker,
 )
 from .numerics import RngState
@@ -176,37 +177,33 @@ def filter_nonsilent(
 
 @dataclass
 class SyntheticSpec:
-    """Recipe for a corpus with known ground truth.
+    """Recipe for a corpus with known ground truth; the fields are its shape.
 
-    Each speaker m renders shared cluster prototypes c_k through an affine
-    map: x = A_m c_k + b_m + noise, where c_k and b_m are standard normal and
-    A_m = I + ``map_scale`` N / sqrt(dim), N standard normal; only the noise
-    scale is a field. The maps are kept well-conditioned so the ideal
-    conversion A_t A_s^-1 (x - b_s) + b_t is numerically trustworthy.
+    Each speaker m renders ``num_clusters`` shared prototypes c_k through an
+    affine map: x = A_m c_k + b_m + ``noise_scale`` e, with c_k, b_m and e
+    standard normal and A_m = I + ``map_scale`` N / sqrt(dim), N standard
+    normal. These and ``max_condition``, which keeps the ideal conversion
+    A_t A_s^-1 (x - b_s) + b_t numerically trustworthy, are class constants.
     """
 
+    num_clusters: ClassVar[int] = 8
+    noise_scale: ClassVar[float] = 0.05
     map_scale: ClassVar[float] = 0.15
+    max_condition: ClassVar[float] = 50.0
     num_speakers: int = 2
     dim: int = 24
-    num_clusters: int = 8
     frames_per_speaker: int = 4000
-    noise_scale: float = 0.05
     silence_fraction: float = 0.0
-    max_condition: float = 50.0
 
     def __post_init__(self):
-        for name, low in (("num_speakers", 2), ("dim", 1), ("num_clusters", 1), ("frames_per_speaker", 1)):
+        for name, low in (("num_speakers", 2), ("dim", 1), ("frames_per_speaker", 1)):
             value = as_integer(name, getattr(self, name))
             setattr(self, name, value)  # a Python int, so the spec serializes like NetworkConfig
             if value < low:
                 raise DataError(f"{name} must be at least {low}, got {value}")
-        if not 0.0 <= self.noise_scale < float("inf"):  # NaN fails the comparison too
-            raise DataError(f"noise_scale must be finite and non-negative, got {self.noise_scale}")
-        if not 0.0 <= self.silence_fraction < 1.0:
-            raise DataError("silence_fraction must lie in [0, 1)")
-        # a condition number is >= 1, so a lower cap rejects every map; NaN would pass every map
-        if not self.max_condition >= 1.0:
-            raise DataError(f"max_condition must be at least 1, got {self.max_condition}")
+        self.silence_fraction = as_real("silence_fraction", self.silence_fraction)
+        if not 0.0 <= self.silence_fraction < 1.0:  # NaN fails the comparison too
+            raise DataError(f"silence_fraction must lie in [0, 1), got {self.silence_fraction}")
 
 
 @dataclass
@@ -217,7 +214,7 @@ class GroundTruth:
     maps: list[np.ndarray]  # per speaker (D, D)
     biases: list[np.ndarray]  # per speaker (D,)
     assignments: list[np.ndarray]  # per speaker (N,) cluster index
-    silent: list[np.ndarray] = field(default_factory=list)  # per speaker (N,) bool
+    silent: list[np.ndarray]  # per speaker (N,) bool
 
     def ideal_conversion(self, frames: np.ndarray, source_id: int, target_id: int) -> np.ndarray:
         """Closed-form map composition taking source-space frames to target space."""
@@ -279,19 +276,8 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
         assignments.append(clusters)
         silent_flags.append(silent)
 
-    means = [fm.frames.mean(axis=0) for fm in corpus]
-    for m in range(1, spec.num_speakers):
-        biases_differ = not np.allclose(biases[0], biases[m])
-        if biases_differ and np.allclose(means[0], means[m], atol=1e-6):
-            raise DataError("speaker biases differ but empirical means coincide; corpus is degenerate")
-
-    truth = GroundTruth(
-        prototypes=prototypes,
-        maps=maps,
-        biases=biases,
-        assignments=assignments,
-        silent=silent_flags,
-    )
+    truth = GroundTruth(prototypes=prototypes, maps=maps, biases=biases,
+                        assignments=assignments, silent=silent_flags)
     return corpus, truth
 
 

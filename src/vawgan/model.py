@@ -47,7 +47,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import numerics as nm
-from .errors import DataError, NumericError, ShapeError, as_integer, as_speaker
+from .errors import DataError, NumericError, ShapeError, as_integer, as_real, as_speaker
 from .numerics import RngState, Tensor
 
 
@@ -111,10 +111,6 @@ class GeneratorParams:
     config: NetworkConfig
     tensors: dict[str, Tensor]
 
-    @property
-    def num_speakers(self) -> int:
-        return self.tensors["embedding"].shape[0]
-
 
 @dataclass
 class CriticParams:
@@ -125,6 +121,7 @@ class CriticParams:
     clip_bound: float = 0.01
 
     def __post_init__(self):
+        self.clip_bound = as_real("clip_bound", self.clip_bound)
         # chained comparison, so that NaN and infinity are rejected too: an infinite
         # bound would switch the Lipschitz constraint off
         if not 0 < self.clip_bound < math.inf:
@@ -327,7 +324,7 @@ def _generate(z, speaker_id: int, params: GeneratorParams, locate: bool) -> Tens
     z = _as_input(z, params.tensors["merge.w"])
     if z.data.ndim != 2 or z.shape[1] != cfg.z_dim:
         raise ShapeError(f"generate: expected (batch, {cfg.z_dim}) latents, got {z.shape}")
-    n_speakers = params.num_speakers
+    n_speakers = cfg.num_speakers
     speaker_id = as_speaker(speaker_id, n_speakers)
     batch = z.shape[0]
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import model as M
 from . import numerics as nm
 from . import objectives as O
-from .errors import DataError, as_integer, as_speaker
+from .errors import DataError, as_integer, as_real, as_speaker
 from .numerics import RngState, Tensor
 
 # decay and epsilon of the RMSProp used by the reference WGAN code
@@ -60,9 +60,11 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
+        alpha = as_real("alpha", self.alpha, ValueError)
         # chained comparison, so that NaN and infinity are rejected too
-        if not 0 <= self.alpha < float("inf"):
-            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0 <= alpha < float("inf"):
+            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)  # a Python float, so it serializes
         batch_size = as_integer("batch_size", self.batch_size, ValueError)
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
@@ -87,7 +89,7 @@ def rmsprop_update(params: M.ModelParams, mean_square: dict):
 def _check_pools(params: M.ModelParams, frames):
     """DataError unless there is one non-empty pool of ``dim``-wide frames per speaker
     of the model; called before any draw."""
-    speakers, dim = params.generator.num_speakers, params.generator.config.dim
+    speakers, dim = params.generator.config.num_speakers, params.generator.config.dim
     if len(frames) != speakers:
         raise DataError(f"{len(frames)} frame pools for a model of {speakers} speakers")
     for speaker, pool in enumerate(frames):
@@ -208,4 +210,4 @@ def joint_step(
     params.zero_grad()
     nm.backward(nm.add(nm.add(j_obs, j_lat), nm.mul(gap, config.alpha)))
     rmsprop_update(params, mean_square)
-    return O.LossBreakdown(j_lat.item(), j_obs.item(), gap.item(), float(config.alpha))
+    return O.LossBreakdown(j_lat.item(), j_obs.item(), gap.item(), config.alpha)

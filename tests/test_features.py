@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from dataclasses import asdict
@@ -204,9 +205,19 @@ class TestFilterNonsilent:
             ft.filter_nonsilent(fm, threshold_db=threshold_db)
 
 
+def _variant(**constants) -> type[SyntheticSpec]:
+    """SyntheticSpec with some class constants overridden: a noise-free corpus, a
+    cluster count or a condition cap that the library's own constants never give."""
+    return type("SyntheticVariant", (SyntheticSpec,), constants)
+
+
 class TestSynthetic:
+    def test_fields_are_the_corpus_shape(self):
+        names = [f.name for f in dataclasses.fields(SyntheticSpec)]
+        assert names == ["num_speakers", "dim", "frames_per_speaker", "silence_fraction"]
+
     def test_zero_noise_single_cluster_is_exact(self):
-        spec = SyntheticSpec(num_clusters=1, noise_scale=0.0, frames_per_speaker=10, dim=6)
+        spec = _variant(num_clusters=1, noise_scale=0.0)(frames_per_speaker=10, dim=6)
         corpus, truth = ft.generate_synthetic(spec, RngState(5))
         for m, fm in enumerate(corpus):
             expected = truth.clean_frame(m, 0).astype(np.float32)
@@ -214,10 +225,10 @@ class TestSynthetic:
                 np.testing.assert_allclose(row, expected, rtol=1e-6)
 
     def test_noise_free_frames_are_their_clusters_clean_frames(self):
-        spec = SyntheticSpec(num_clusters=8, noise_scale=0.0, frames_per_speaker=200, dim=64)
+        spec = _variant(noise_scale=0.0)(frames_per_speaker=200, dim=64)
         corpus, truth = ft.generate_synthetic(spec, RngState(13))
         for m, fm in enumerate(corpus):
-            assert len(set(truth.assignments[m].tolist())) == 8
+            assert len(set(truth.assignments[m].tolist())) == SyntheticSpec.num_clusters == 8
             for row, cluster in zip(fm.frames, truth.assignments[m]):
                 np.testing.assert_allclose(row, truth.clean_frame(m, cluster), rtol=1e-6, atol=1e-9)
 
@@ -227,7 +238,7 @@ class TestSynthetic:
         assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 3 * speaker_block
 
     def test_ideal_conversion_reproduces_target_cluster(self):
-        spec = SyntheticSpec(num_clusters=4, noise_scale=0.0, frames_per_speaker=40, dim=8)
+        spec = _variant(num_clusters=4, noise_scale=0.0)(frames_per_speaker=40, dim=8)
         corpus, truth = ft.generate_synthetic(spec, RngState(9))
         source = corpus[0]
         converted = truth.ideal_conversion(source.frames, source_id=0, target_id=1)
@@ -246,7 +257,7 @@ class TestSynthetic:
         np.testing.assert_array_equal(truth.clean_frame(np.int64(1), 0), truth.clean_frame(1, 0))
 
     def test_clean_frame_checks_its_cluster(self):
-        spec = SyntheticSpec(dim=4, num_clusters=2, frames_per_speaker=3)
+        spec = _variant(num_clusters=2)(dim=4, frames_per_speaker=3)
         _, truth = ft.generate_synthetic(spec, RngState(1))
         for cluster in (-1, 2):  # -1 would wrap to the last cluster
             with pytest.raises(DataError, match=r"cluster must be an integer in \[0, 2\)"):
@@ -265,7 +276,7 @@ class TestSynthetic:
             assert np.array_equal(a.energy, b.energy)
 
     def test_ill_conditioned_map_rejected(self):
-        spec = SyntheticSpec(dim=6, max_condition=1.0000001)
+        spec = _variant(max_condition=1.0000001)(dim=6)
         with pytest.raises(DataError, match="ill-conditioned"):
             ft.generate_synthetic(spec, RngState(2))
 
@@ -284,10 +295,9 @@ class TestSynthetic:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"noise_scale": value} for value in (np.nan, np.inf, -0.1)]
-        + [{name: 2.5} for name in ("num_speakers", "dim", "num_clusters", "frames_per_speaker")]
-        + [{"max_condition": value} for value in (np.nan, 0.5)],
-        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+        [{name: 2.5} for name in ("num_speakers", "dim", "frames_per_speaker")]
+        + [{"silence_fraction": value} for value in (np.nan, -0.1, 1.0, False, np.bool_(True), "0.1")],
+        ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))),
     )
     def test_rejects_bad_settings(self, setting):
         with pytest.raises(DataError, match=next(iter(setting))):
@@ -298,11 +308,11 @@ class TestSynthetic:
         corpus, _ = ft.generate_synthetic(spec, RngState(1))
         assert corpus[0].frames.shape == (6, 4)
 
-    def test_counts_stored_as_python_ints_round_trip_json(self):
-        spec = SyntheticSpec(num_speakers=np.int8(3), dim=np.int64(4), num_clusters=np.int32(2),
-                             frames_per_speaker=np.uint16(6))
-        fields = ("num_speakers", "dim", "num_clusters", "frames_per_speaker")
-        assert all(type(getattr(spec, name)) is int for name in fields)
+    def test_settings_stored_as_python_numbers_round_trip_json(self):
+        spec = SyntheticSpec(num_speakers=np.int8(3), dim=np.int64(4), frames_per_speaker=np.uint16(6),
+                             silence_fraction=np.float32(0.1))
+        assert all(type(getattr(spec, name)) is int for name in ("num_speakers", "dim", "frames_per_speaker"))
+        assert type(spec.silence_fraction) is float
         assert SyntheticSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_rng_argument_controls_generation(self):

@@ -261,13 +261,22 @@ class TestCritic:
 
         assert nm.grad_check(fn, params.tensors) < 1e-4
 
-    # an infinite bound would leave the critic's weights unconstrained
-    @pytest.mark.parametrize("bound", [0.0, -0.01, float("nan"), float("inf")])
-    def test_rejects_bad_clip_bound(self, bound):
+    # an infinite bound would leave the critic's weights unconstrained; True is not 1.0
+    @pytest.mark.parametrize(
+        "bound, match",
+        [*[pytest.param(bound, "positive and finite", id=repr(bound))
+           for bound in (0.0, -0.01, float("nan"), float("inf"))],
+         *[pytest.param(bound, "real number", id=repr(bound)) for bound in (True, np.bool_(True), "0.01")]],
+    )
+    def test_rejects_bad_clip_bound(self, bound, match):
         with pytest.raises(DataError, match="clip_bound"):
             md.init_model(CHECK_CONFIG, RngState(seed=0), clip_bound=bound)
-        with pytest.raises(DataError, match="positive and finite"):
+        with pytest.raises(DataError, match=match):
             md.init_critic(CHECK_CONFIG, RngState(seed=0), clip_bound=bound)
+
+    def test_numpy_float_clip_bound_stored_as_python_float(self):
+        params = md.init_critic(CHECK_CONFIG, RngState(seed=0), clip_bound=np.float32(0.01))
+        assert type(params.clip_bound) is float and params.clip_bound == float(np.float32(0.01))
 
     def test_scores_are_unbounded_reals(self):
         params = md.init_critic(CHECK_CONFIG, RngState(seed=2), dtype=np.float64)
@@ -407,10 +416,7 @@ FORMER_SETTINGS = ("z_dim", "embedding_dim", "encoder_channels", "encoder_stride
 
 
 def _assert_rejected(knob, match, dim=16):
-    # a bad value of a field is a DataError; a former setting is no keyword at all,
-    # whatever its value, so it is a TypeError naming it
-    error = TypeError if next(iter(knob)) in FORMER_SETTINGS else DataError
-    with pytest.raises(error, match=match):
+    with pytest.raises(DataError, match=match):
         NetworkConfig(**{"dim": dim, **knob})
 
 
@@ -422,68 +428,32 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="not divisible by the upsample product 8"):
             NetworkConfig(dim=10)
 
-    def test_channel_stride_length_mismatch_rejected(self):
-        # each conv layer has one width and one stride or upsampling factor
+    def test_each_conv_layer_has_one_stride_or_upsample(self):
         cfg = NetworkConfig
         assert len(cfg.encoder_channels) == len(cfg.encoder_strides)
         assert len(cfg.generator_channels) == len(cfg.generator_upsamples)
         assert len(cfg.critic_channels) == len(cfg.critic_strides)
-        _assert_rejected({"encoder_channels": (4, 4, 4), "encoder_strides": (1, 2)},
-                         "encoder_channels", dim=8)
 
     @pytest.mark.parametrize(
         "knob, match",
         [
-            ({"encoder_strides": (0, 2, 2)}, "strides"),
-            ({"critic_strides": (1, 2, 0)}, "strides"),
-            ({"encoder_strides": (1, 4, 4)}, "encoder_strides"),
-            ({"critic_strides": (1, 2, 3)}, "critic_strides"),
-            ({"generator_upsamples": (0, 2, 2)}, "upsample"),
             ({"dim": 0}, "dim must be >= 1"),
             ({"dim": -8}, "dim must be >= 1"),
-            ({"z_dim": 0}, "z_dim"),
-            ({"embedding_dim": 0}, "embedding_dim"),
             ({"num_speakers": 0}, "num_speakers must be >= 1"),
-            ({"encoder_channels": (8, 0, 8)}, "encoder_channels"),
-            ({"generator_channels": (0, 8, 8)}, "generator_channels"),
-            ({"critic_channels": (8, 0, 8)}, "critic_channels"),
-            ({"encoder_channels": (), "encoder_strides": ()}, "encoder_channels"),
-            ({"generator_channels": (), "generator_upsamples": ()}, "generator_channels"),
-            ({"critic_channels": (), "critic_strides": ()}, "critic_channels"),
         ],
-        ids=[
-            "encoder-stride", "critic-stride", "encoder-stride-above-max",
-            "critic-stride-above-max", "upsample", "dim-zero", "dim-negative", "z-dim",
-            "embedding-dim", "speakers", "encoder-width", "generator-width", "critic-width",
-            "encoder-empty", "generator-empty", "critic-empty",
-        ],
+        ids=["dim-zero", "dim-negative", "speakers"],
     )
     def test_out_of_range_setting_rejected(self, knob, match):
         _assert_rejected(knob, match, dim=8)
 
-    @pytest.mark.parametrize(
-        "knob",
-        [{"dim": 16.0}, {"z_dim": 6.0}, {"num_speakers": 2.0}, {"embedding_dim": 4.5},
-         {"encoder_channels": (8.0, 8, 8)}, {"encoder_strides": (1, 2, 2.0)},
-         {"generator_channels": (8, 8.0, 8)}, {"generator_upsamples": (2.0, 2, 2)},
-         {"critic_channels": (8, 8, 8.0)}, {"critic_strides": (1.0, 2, 2)}],
-        ids=lambda knob: next(iter(knob)),
-    )
+    @pytest.mark.parametrize("knob", [{"dim": 16.0}, {"num_speakers": 2.0}], ids=lambda knob: next(iter(knob)))
     def test_non_integer_setting_rejected(self, knob):
         _assert_rejected(knob, next(iter(knob)))
 
     @pytest.mark.parametrize(
-        "knob", [{"z_dim": True}, {"num_speakers": True}, {"encoder_strides": (True, 2, 2)},
-                 {"generator_upsamples": (2, 2, np.bool_(True))}, {"dim": np.bool_(True)}],
-        ids=lambda knob: next(iter(knob)),
+        "knob", [{"num_speakers": True}, {"dim": np.bool_(True)}], ids=lambda knob: next(iter(knob))
     )
     def test_bool_setting_rejected(self, knob):
-        _assert_rejected(knob, next(iter(knob)))
-
-    @pytest.mark.parametrize(
-        "knob", [{"encoder_channels": 8}, {"generator_upsamples": None}], ids=lambda knob: next(iter(knob))
-    )
-    def test_non_sequence_setting_rejected(self, knob):
         _assert_rejected(knob, next(iter(knob)))
 
     def test_numpy_integer_settings_accepted(self):
@@ -497,7 +467,8 @@ class TestConfigValidation:
         [*[(NetworkConfig, name) for name in FORMER_SETTINGS],
          (NetworkConfig, "kernel_size"), (NetworkConfig, "leaky_slope"),
          (NetworkConfig, "logvar_bound"), (SyntheticSpec, "cluster_spread"),
-         (SyntheticSpec, "map_scale"), (SyntheticSpec, "bias_scale")],
+         (SyntheticSpec, "map_scale"), (SyntheticSpec, "bias_scale"), (SyntheticSpec, "num_clusters"),
+         (SyntheticSpec, "noise_scale"), (SyntheticSpec, "max_condition")],
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
     def test_fixed_constants_are_not_settings(self, cls, name):

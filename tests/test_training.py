@@ -47,6 +47,9 @@ class TestTrainConfig:
             {"alpha": float("inf")},
             {"batch_size": 2.5},
             {"batch_size": True},
+            {"alpha": True},
+            {"alpha": np.bool_(False)},
+            {"alpha": "50"},
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -56,9 +59,9 @@ class TestTrainConfig:
     def test_accepts_numpy_integer_batch_size(self):
         assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
 
-    def test_batch_size_stored_as_python_int_round_trips_json(self):
-        config = TrainConfig(batch_size=np.int64(8))
-        assert type(config.batch_size) is int
+    def test_settings_stored_as_python_numbers_round_trip_json(self):
+        config = TrainConfig(alpha=np.float32(0.1), batch_size=np.int64(8))
+        assert type(config.alpha) is float and type(config.batch_size) is int
         assert TrainConfig(**json.loads(json.dumps(asdict(config)))) == config
 
 
