@@ -38,6 +38,8 @@ NORM_MAGIC = b"VAWN"
 FORMAT_VERSION = 1
 
 DEFAULT_SILENCE_THRESHOLD_DB = 30.0
+# rows of synthetic frames summed in float64 per block before the one rounding to float32
+_RENDER_ROWS = 256
 
 
 @dataclass
@@ -159,6 +161,7 @@ def filter_nonsilent(
     Order is preserved. Without an energy vector there is nothing to
     filter on: the input is returned unchanged with a warning.
     """
+    threshold_db = as_real("threshold_db", threshold_db)  # True is not 1 dB
     if not 0.0 <= threshold_db < float("inf"):  # NaN fails the comparison too
         raise DataError(f"threshold_db must be finite and non-negative, got {threshold_db}")
     if x.energy is None:
@@ -184,6 +187,15 @@ class SyntheticSpec:
     standard normal and A_m = I + ``map_scale`` N / sqrt(dim), N standard
     normal. These and ``max_condition``, which keeps the ideal conversion
     A_t A_s^-1 (x - b_s) + b_t numerically trustworthy, are class constants.
+
+    A map passes when cond(A_m) <= ``max_condition`` = c. Most maps are
+    certified without an SVD: with G = A_m^T A_m and r = max_i sum_j |G_ij|
+    (Gershgorin, so r >= lambda_max(G)), a Cholesky factorization of
+    G - (2 r / c^2) I exists only if lambda_min(G) > 2 lambda_max(G) / c^2,
+    that is cond(A_m) < c / sqrt(2). The factor 2 covers the float64
+    rounding of G and of the factorization by orders of magnitude. A map
+    the factorization rejects has its condition computed exactly, so every
+    map is accepted or rejected on its exact condition.
     """
 
     num_clusters: ClassVar[int] = 8
@@ -238,8 +250,13 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     """Render a corpus from the spec; returns (list of FrameMatrix, GroundTruth).
 
     Every frame is one of K cluster prototypes plus noise, so each speaker's
-    K clean frames are rendered once and each frame gathers its row from
-    them; no frame goes through the D x D map on its own.
+    K clean frames are rendered once and each frame adds its row of them to
+    its noise; no frame goes through the D x D map on its own. The float64
+    sums are written a block of rows at a time straight into the float32
+    frames, so no (N, D) gather or second copy is made. One Cholesky
+    factorization of A^T A - (2 r / c^2) I, r the Gershgorin bound of A^T A
+    and c = max_condition, proves cond(A) < c / sqrt(2) for a map A (see
+    SyntheticSpec); np.linalg.cond decides only a map it rejects.
     """
     d, k = spec.dim, spec.num_clusters
 
@@ -247,11 +264,17 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     maps, biases = [], []
     for _ in range(spec.num_speakers):
         a = np.eye(d) + spec.map_scale * rng.standard_normal((d, d)) / np.sqrt(d)
-        cond = np.linalg.cond(a)
-        if cond > spec.max_condition:
-            raise DataError(
-                f"rendering map is ill-conditioned (condition {cond:.3g} > {spec.max_condition})"
-            )
+        gram = a.T @ a
+        radius = np.abs(gram).sum(axis=1).max()  # Gershgorin: at least gram's largest eigenvalue
+        gram.flat[:: d + 1] -= 2.0 * radius / spec.max_condition**2
+        try:
+            np.linalg.cholesky(gram)  # exists only if cond(a) < max_condition / sqrt(2)
+        except np.linalg.LinAlgError:
+            cond = np.linalg.cond(a)
+            if cond > spec.max_condition:
+                raise DataError(
+                    f"rendering map is ill-conditioned (condition {cond:.3g} > {spec.max_condition})"
+                ) from None
         maps.append(a)
         biases.append(rng.standard_normal((d,)))
 
@@ -260,9 +283,13 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     for m in range(spec.num_speakers):
         clusters = rng.integers(k, size=n)
         rendered = prototypes @ maps[m].T + biases[m]  # the K clean frames of speaker m
-        frames = rng.standard_normal((n, d))
-        frames *= spec.noise_scale
-        frames += rendered[clusters]
+        noise = rng.standard_normal((n, d))
+        noise *= spec.noise_scale
+        frames = np.empty((n, d), dtype=np.float32)
+        for start in range(0, n, _RENDER_ROWS):
+            rows = slice(start, start + _RENDER_ROWS)
+            np.add(noise[rows], rendered[clusters[rows]], out=frames[rows])
+        del noise  # freed before the next speaker's noise is drawn
 
         energy = rng.standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)

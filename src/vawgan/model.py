@@ -304,6 +304,8 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
     if mu.shape != log_var.shape:
         raise ShapeError(f"reparameterize: mu {mu.shape} vs log_var {log_var.shape}")
     if eps is None:
+        if rng is None:
+            raise TypeError("reparameterize: pass an rng to draw eps from, or eps itself")
         eps = rng.standard_normal(mu.shape, dtype=mu.data.dtype)
     else:
         eps = np.asarray(eps, dtype=mu.data.dtype)

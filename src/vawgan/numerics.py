@@ -451,8 +451,8 @@ def square(x) -> Tensor:
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; pass-through gradient on the closed interval."""
     x = as_tensor(x)
-    if lo > hi:
-        raise ValueError(f"clip: lo {lo} exceeds hi {hi}")
+    if not lo <= hi:  # a NaN bound fails this too; it would turn every output into NaN
+        raise ValueError(f"clip: lo {lo} exceeds hi {hi}, or a bound is NaN")
     inside = (x.data >= lo) & (x.data <= hi)
     return _unary(
         "clip", x, lambda v: np.clip(v, lo, hi), lambda g, x, y: np.where(inside, g, 0.0)

@@ -198,11 +198,44 @@ class TestFilterNonsilent:
             out = ft.filter_nonsilent(fm)
         assert out is fm
 
-    @pytest.mark.parametrize("threshold_db", [np.nan, -5.0, np.inf])
+    @pytest.mark.parametrize("threshold_db", [np.nan, -5.0, np.inf, True, False, np.bool_(True), "30"])
     def test_rejects_bad_threshold(self, threshold_db):
         fm = FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, -1.0])
         with pytest.raises(DataError, match="threshold_db"):
             ft.filter_nonsilent(fm, threshold_db=threshold_db)
+
+    def test_numpy_threshold_accepted(self):
+        fm = FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, -100.0])
+        for threshold_db in (np.float32(30), np.int64(30)):
+            assert ft.filter_nonsilent(fm, threshold_db=threshold_db).num_frames == 1
+
+
+def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
+    """The corpus built the direct way: one noise draw per speaker, the (N, D) gather
+    of its clusters' clean frames added in place, then one cast of all frames to float32."""
+    d, k, n = spec.dim, spec.num_clusters, spec.frames_per_speaker
+    prototypes = rng.standard_normal((k, d))
+    maps, biases = [], []
+    for _ in range(spec.num_speakers):
+        maps.append(np.eye(d) + spec.map_scale * rng.standard_normal((d, d)) / np.sqrt(d))
+        biases.append(rng.standard_normal((d,)))
+    frames, energies, assignments, silent_flags = [], [], [], []
+    for m in range(spec.num_speakers):
+        clusters = rng.integers(k, size=n)
+        x = rng.standard_normal((n, d))
+        x *= spec.noise_scale
+        x += (prototypes @ maps[m].T + biases[m])[clusters]
+        energy = rng.standard_normal((n,)) * 2.0
+        silent = np.zeros(n, dtype=bool)
+        if spec.silence_fraction > 0:
+            order = np.argsort(rng.standard_normal((n,)), kind="stable")
+            silent[order[: int(round(spec.silence_fraction * n))]] = True
+            energy = energy - 60.0 * silent
+        frames.append(x.astype(np.float32))
+        energies.append(energy.astype(np.float32))
+        assignments.append(clusters)
+        silent_flags.append(silent)
+    return [prototypes], maps, biases, frames, energies, assignments, silent_flags
 
 
 def _variant(**constants) -> type[SyntheticSpec]:
@@ -235,7 +268,50 @@ class TestSynthetic:
     def test_generation_peak_memory(self, peak_bytes):
         spec = SyntheticSpec(dim=256, frames_per_speaker=4096)
         speaker_block = spec.frames_per_speaker * spec.dim * np.dtype(np.float64).itemsize
-        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 3 * speaker_block
+        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 2.5 * speaker_block
+
+    @pytest.mark.parametrize("silence_fraction", [0.0, 0.25], ids=["speech", "silence"])
+    @pytest.mark.parametrize(
+        "frames", [ft._RENDER_ROWS - 1, ft._RENDER_ROWS, 2 * ft._RENDER_ROWS + ft._RENDER_ROWS // 2],
+        ids=["below-one-block", "one-block", "short-last-block"],
+    )
+    def test_matches_direct_construction_bytewise(self, frames, silence_fraction):
+        spec = SyntheticSpec(num_speakers=3, dim=7, frames_per_speaker=frames, silence_fraction=silence_fraction)
+        rng, reference_rng = RngState(2**63 + 5), RngState(2**63 + 5)
+        corpus, truth = ft.generate_synthetic(spec, rng)
+        got = ([truth.prototypes], truth.maps, truth.biases, [fm.frames for fm in corpus],
+               [fm.energy for fm in corpus], truth.assignments, truth.silent)
+        for ours, reference in zip(got, _reference_synthetic(spec, reference_rng), strict=True):
+            assert len(ours) == len(reference)
+            for a, b in zip(ours, reference):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.counter == reference_rng.counter
+
+    @pytest.mark.parametrize("dim", [1, 24, 512])
+    def test_well_conditioned_maps_skip_the_svd(self, dim, monkeypatch):
+        def cond(a):
+            raise AssertionError("np.linalg.cond reached for a well-conditioned map")
+
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        _, truth = ft.generate_synthetic(SyntheticSpec(dim=dim, frames_per_speaker=3), RngState(4))
+        assert len(truth.maps) == 2
+
+    def test_condition_verdict_is_exact_where_the_certificate_fails(self, monkeypatch):
+        spec = SyntheticSpec(dim=6, frames_per_speaker=3)
+        _, truth = ft.generate_synthetic(spec, RngState(2))
+        worst = max(np.linalg.cond(a) for a in truth.maps)
+        svd_calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: svd_calls.append(a) or cond(a))
+        # above c / sqrt(2) the factorization fails for some map, and the exact condition decides
+        _, accepted = ft.generate_synthetic(_variant(max_condition=worst * 1.01)(dim=6, frames_per_speaker=3),
+                                            RngState(2))
+        assert svd_calls
+        for a, b in zip(accepted.maps, truth.maps):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(DataError, match=rf"condition {worst:.3g} > "):
+            ft.generate_synthetic(_variant(max_condition=worst * 0.99)(dim=6, frames_per_speaker=3),
+                                  RngState(2))
 
     def test_ideal_conversion_reproduces_target_cluster(self):
         spec = _variant(num_clusters=4, noise_scale=0.0)(frames_per_speaker=40, dim=8)

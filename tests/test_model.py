@@ -135,6 +135,12 @@ class TestReparameterize:
         with pytest.raises(ShapeError):
             md.reparameterize(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), RngState(seed=0))
 
+    def test_no_rng_and_no_eps_rejected(self):
+        mu, log_var = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+        with pytest.raises(TypeError, match="rng.*eps"):
+            md.reparameterize(mu, log_var, None)
+        assert np.array_equal(md.reparameterize(mu, log_var, None, eps=np.ones((2, 3))).z.data, np.ones((2, 3)))
+
     @pytest.mark.parametrize("eps_shape", [(1, 3), (3,), (2, 1), (3, 2), (1, 2, 3)])
     def test_eps_must_match_mu_exactly(self, eps_shape):
         mu, log_var = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))

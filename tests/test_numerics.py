@@ -673,6 +673,12 @@ def test_clip_rejects_lo_above_hi_as_value_error():
     assert not isinstance(info.value, ShapeError)
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 0.5), (-0.5, np.nan), (np.nan, np.nan)])
+def test_clip_rejects_nan_bound(lo, hi):
+    with pytest.raises(ValueError, match="NaN"):
+        nm.clip(Tensor([1.0, -1.0]), lo, hi)
+
+
 class TestGradCheck:
     def test_one_element_vector_output(self):
         rng = np.random.default_rng(3)
