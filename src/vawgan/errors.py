@@ -5,11 +5,12 @@ bad data or files (DataError and subclasses), and numerical blow-ups
 (NumericError). Exit codes 1/2/3 are reserved for them, in that order,
 for the planned command-line interface; the package has none yet.
 ``as_integer`` and ``as_real`` are the one integer and the one float
-check: each turns a bool or a value of the wrong kind into an error
-naming the setting, a DataError unless another type is asked for;
-``as_speaker`` is the one speaker-id lookup.
+reader: each returns a Python number in [low, high), finite for
+``as_real``, or raises one error naming the setting, a DataError unless
+another type is asked for. ``as_speaker`` is ``as_integer`` over the speakers.
 """
 
+import math
 import numbers
 import operator
 
@@ -50,37 +51,29 @@ class NumericError(Exception):
     """Non-finite values encountered where finite ones are required."""
 
 
-def _index(value):
-    """``operator.index(value)``, or None for a non-integer; a bool is a flag, not 0 or 1."""
+def as_integer(name: str, value, error: type[Exception] = DataError,
+               low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as a Python int in [low, high), or ``error`` naming ``name``; NumPy integers
+    pass, 1.5 and True do not: a bool is a flag, not 0 or 1."""
     try:
-        return None if isinstance(value, bool) else operator.index(value)
+        result = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        return None
-
-
-def as_integer(name: str, value, error: type[Exception] = DataError) -> int:
-    """``value`` as a Python int, or ``error`` naming ``name``; NumPy integers pass,
-    1.5 and True do not."""
-    result = _index(value)
-    if result is None:
-        raise error(f"{name} must be an integer, got {value!r}")
+        result = None
+    if result is None or not low <= result < high:
+        raise error(f"{name} must be an integer in [{low}, {high}), got {value!r}")
     return result
 
 
-def as_real(name: str, value, error: type[Exception] = DataError) -> float:
-    """``value`` as a Python float, or ``error`` naming ``name``; NumPy floats and
-    integers pass, True and "0.5" do not. The caller checks the range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+def as_real(name: str, value, error: type[Exception] = DataError,
+            low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a finite Python float in [low, high), or ``error`` naming ``name``; NumPy
+    floats and integers pass, True, "0.5", NaN and infinity do not."""
+    result = None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    if result is None or not (math.isfinite(result) and low <= result < high):
+        raise error(f"{name} must be a finite real number in [{low}, {high}), got {value!r}")
+    return result
 
 
 def as_speaker(value, count: int) -> int:
-    """``value`` as a Python int in [0, count), or UnknownSpeakerError; NumPy integers pass,
-    1.5 and True do not."""
-    speaker = _index(value)
-    if speaker is None:
-        raise UnknownSpeakerError(f"speaker id must be an integer, got {value!r}")
-    if not 0 <= speaker < count:
-        raise UnknownSpeakerError(f"speaker id {speaker} outside the {count} known speakers")
-    return speaker
+    """``value`` as a Python int in [0, count), or UnknownSpeakerError."""
+    return as_integer("speaker id", value, UnknownSpeakerError, 0, count)

@@ -54,9 +54,7 @@ class FrameMatrix:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 2 or min(self.frames.shape) < 1:
             raise DataError(f"frames must be an N x D matrix with N, D >= 1, got shape {self.frames.shape}")
-        self.speaker_id = as_integer("speaker_id", self.speaker_id)
-        if self.speaker_id < 0:
-            raise DataError(f"speaker_id must be non-negative, got {self.speaker_id}")
+        self.speaker_id = as_integer("speaker_id", self.speaker_id, low=0)
         if self.energy is not None:
             self.energy = np.asarray(self.energy, dtype=np.float32)
             if self.energy.shape != (self.frames.shape[0],):
@@ -88,8 +86,9 @@ class NormStats:
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1 or self.mins.size < 1:
             raise DataError(f"mins and maxs must be equal-length, non-empty vectors, got "
                             f"shapes {self.mins.shape} and {self.maxs.shape}")
-        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
-            raise DataError("mins and maxs must be finite")
+        bad = ~(np.isfinite(self.mins) & np.isfinite(self.maxs))
+        if bad.any():
+            raise DataError(f"non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
         if np.any(self.maxs < self.mins):
             raise DataError("per-dimension max must be >= min")
 
@@ -112,12 +111,9 @@ def fit_normalizer(corpus: list[FrameMatrix]) -> NormStats:
         if fm.dim != dim:
             raise DimMismatchError(f"corpus dims disagree: {dim} vs {fm.dim}")
     # per-matrix extremes combined without stacking the corpus; NaN and +-inf
-    # propagate into them, so checking them checks every frame
+    # propagate into them, so NormStats's finiteness check checks every frame
     mins = np.minimum.reduce([fm.frames.min(axis=0) for fm in corpus])
     maxs = np.maximum.reduce([fm.frames.max(axis=0) for fm in corpus])
-    bad = ~(np.isfinite(mins) & np.isfinite(maxs))
-    if bad.any():
-        raise DataError(f"corpus holds non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
     return NormStats(mins=mins, maxs=maxs)
 
 
@@ -161,9 +157,7 @@ def filter_nonsilent(
     Order is preserved. Without an energy vector there is nothing to
     filter on: the input is returned unchanged with a warning.
     """
-    threshold_db = as_real("threshold_db", threshold_db)  # True is not 1 dB
-    if not 0.0 <= threshold_db < float("inf"):  # NaN fails the comparison too
-        raise DataError(f"threshold_db must be finite and non-negative, got {threshold_db}")
+    threshold_db = as_real("threshold_db", threshold_db, low=0.0)  # True is not 1 dB
     if x.energy is None:
         warnings.warn("filter_nonsilent: no energy vector present, keeping all frames")
         return x
@@ -209,13 +203,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, low in (("num_speakers", 2), ("dim", 1), ("frames_per_speaker", 1)):
-            value = as_integer(name, getattr(self, name))
-            setattr(self, name, value)  # a Python int, so the spec serializes like NetworkConfig
-            if value < low:
-                raise DataError(f"{name} must be at least {low}, got {value}")
-        self.silence_fraction = as_real("silence_fraction", self.silence_fraction)
-        if not 0.0 <= self.silence_fraction < 1.0:  # NaN fails the comparison too
-            raise DataError(f"silence_fraction must lie in [0, 1), got {self.silence_fraction}")
+            # a Python int, so the spec serializes like NetworkConfig
+            setattr(self, name, as_integer(name, getattr(self, name), low=low))
+        self.silence_fraction = as_real("silence_fraction", self.silence_fraction, low=0.0, high=1.0)
 
 
 @dataclass
@@ -232,17 +222,18 @@ class GroundTruth:
         """Closed-form map composition taking source-space frames to target space."""
         source_id = as_speaker(source_id, len(self.maps))
         target_id = as_speaker(target_id, len(self.maps))
-        a_s_inv = np.linalg.inv(self.maps[source_id])
         a_t = self.maps[target_id]
-        centered = np.asarray(frames, dtype=np.float64) - self.biases[source_id]
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.shape[-1:] != a_t.shape[1:]:
+            raise DimMismatchError(f"frames of shape {frames.shape} for a corpus of dim {len(a_t)}")
+        a_s_inv = np.linalg.inv(self.maps[source_id])
+        centered = frames - self.biases[source_id]
         return (a_t @ (a_s_inv @ centered.T)).T + self.biases[target_id]
 
     def clean_frame(self, speaker_id: int, cluster: int) -> np.ndarray:
         speaker_id = as_speaker(speaker_id, len(self.maps))
-        count = self.prototypes.shape[0]
-        index = as_integer("cluster", cluster)  # NumPy integers pass, 1.5 and True do not
-        if not 0 <= index < count:  # a negative index would wrap to another cluster
-            raise DataError(f"cluster must be an integer in [0, {count}), got {cluster!r}")
+        # a negative index would wrap to another cluster
+        index = as_integer("cluster", cluster, low=0, high=self.prototypes.shape[0])
         return self.maps[speaker_id] @ self.prototypes[index] + self.biases[speaker_id]
 
 

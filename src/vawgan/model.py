@@ -75,10 +75,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("dim", "num_speakers"):
-            value = as_integer(name, getattr(self, name))
-            if value < 1:
-                raise DataError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)  # frozen: store the checked Python int
+            # frozen: store the checked Python int
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), low=1))
         if self.dim % self._upsample_product != 0:
             raise DataError(
                 f"feature dim {self.dim} is not divisible by the upsample product "
@@ -121,10 +119,9 @@ class CriticParams:
     clip_bound: float = 0.01
 
     def __post_init__(self):
+        # as_real rejects infinity, which would switch the Lipschitz constraint off
         self.clip_bound = as_real("clip_bound", self.clip_bound)
-        # chained comparison, so that NaN and infinity are rejected too: an infinite
-        # bound would switch the Lipschitz constraint off
-        if not 0 < self.clip_bound < math.inf:
+        if self.clip_bound <= 0:
             raise DataError(f"clip_bound must be positive and finite, got {self.clip_bound}")
 
 

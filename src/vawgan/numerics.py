@@ -426,9 +426,13 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
 
 
 def _unary(op: str, x, fn, grad_fn) -> Tensor:
-    """One-input primitive y = fn(x); ``grad_fn(g, x, y)`` maps y's gradient to x's."""
+    """One-input primitive y = fn(x); ``grad_fn(g, x, y)`` maps y's gradient to x's.
+    A ValueError from ``fn``, such as numpy's AxisError, means x's shape does not suit it."""
     x = as_tensor(x)
-    data = fn(x.data)
+    try:
+        data = fn(x.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: {exc}, input shape {x.shape}") from exc
     return _result(data, (x,), lambda g: (grad_fn(g, x.data, data),), op)
 
 

@@ -60,15 +60,9 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        alpha = as_real("alpha", self.alpha, ValueError)
-        # chained comparison, so that NaN and infinity are rejected too
-        if not 0 <= alpha < float("inf"):
-            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)  # a Python float, so it serializes
-        batch_size = as_integer("batch_size", self.batch_size, ValueError)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        object.__setattr__(self, "batch_size", batch_size)  # a Python int, so it serializes
+        # Python numbers, so the config serializes
+        object.__setattr__(self, "alpha", as_real("alpha", self.alpha, ValueError, low=0.0))
+        object.__setattr__(self, "batch_size", as_integer("batch_size", self.batch_size, ValueError, low=1))
 
 
 def rmsprop_update(params: M.ModelParams, mean_square: dict):

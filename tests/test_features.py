@@ -321,6 +321,14 @@ class TestSynthetic:
         for row, cluster in zip(converted, truth.assignments[0]):
             np.testing.assert_allclose(row, truth.clean_frame(1, cluster), atol=1e-4)
 
+    def test_ideal_conversion_checks_frame_width(self):
+        _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
+        for frames in (np.zeros((2, 5)), np.zeros((2, 3)), np.zeros(5), np.float64(0.0)):
+            with pytest.raises(DimMismatchError, match="for a corpus of dim 4"):
+                truth.ideal_conversion(frames, 0, 1)
+        single = truth.ideal_conversion(np.ones(4), 0, 1)  # one frame as a vector still converts
+        np.testing.assert_array_equal(single, truth.ideal_conversion(np.ones((1, 4)), 0, 1)[0])
+
     def test_unknown_speakers_rejected(self):
         _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
         frames = np.zeros((1, 4))
@@ -339,7 +347,7 @@ class TestSynthetic:
             with pytest.raises(DataError, match=r"cluster must be an integer in \[0, 2\)"):
                 truth.clean_frame(0, cluster)
         for cluster in (1.0, "0", None, True, np.bool_(False)):  # True is not cluster 1
-            with pytest.raises(DataError, match="cluster must be an integer, got"):
+            with pytest.raises(DataError, match=r"cluster must be an integer in \[0, 2\), got"):
                 truth.clean_frame(0, cluster)
         np.testing.assert_array_equal(truth.clean_frame(0, np.int64(1)), truth.clean_frame(0, 1))
 

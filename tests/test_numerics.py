@@ -61,6 +61,10 @@ class TestForward:
             nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 3, 3))), np.zeros((4, 1)))
         with pytest.raises(ShapeError, match="concat"):
             nm.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))], axis=1)
+        for reduce, name in ((nm.reduce_sum, "reduce_sum"), (nm.reduce_mean, "reduce_mean")):
+            for axis in (2, -3):  # numpy's AxisError would name no op
+                with pytest.raises(ShapeError, match=rf"{name}: .*\(2, 3\)"):
+                    reduce(Tensor(np.ones((2, 3))), axis=axis)
 
     def test_conv1d_matches_direct_convolution(self):
         rng = np.random.default_rng(11)
