@@ -67,8 +67,11 @@ def as_integer(name: str, value, error: type[Exception] = DataError,
 def as_real(name: str, value, error: type[Exception] = DataError,
             low: float = -math.inf, high: float = math.inf) -> float:
     """``value`` as a finite Python float in [low, high), or ``error`` naming ``name``; NumPy
-    floats and integers pass, True, "0.5", NaN and infinity do not."""
-    result = None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    floats and integers pass, True, "0.5", NaN, infinity and 10**400 do not."""
+    try:
+        result = None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an integer beyond float range
+        result = None
     if result is None or not (math.isfinite(result) and low <= result < high):
         raise error(f"{name} must be a finite real number in [{low}, {high}), got {value!r}")
     return result

@@ -242,19 +242,19 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
 
     Every frame is one of K cluster prototypes plus noise, so each speaker's
     K clean frames are rendered once and each frame adds its row of them to
-    its noise; no frame goes through the D x D map on its own. The float64
-    sums are written a block of rows at a time straight into the float32
-    frames, so no (N, D) gather or second copy is made. One Cholesky
-    factorization of A^T A - (2 r / c^2) I, r the Gershgorin bound of A^T A
-    and c = max_condition, proves cond(A) < c / sqrt(2) for a map A (see
-    SyntheticSpec); np.linalg.cond decides only a map it rejects.
+    its noise; no frame goes through the D x D map on its own. A speaker's
+    noise is drawn from one generator a block of rows at a time, scaled and
+    summed in float64 straight into the float32 frames: no (N, D) float64
+    array is made. One Cholesky factorization of A^T A - (2 r / c^2) I, r the
+    Gershgorin bound of A^T A and c = max_condition, proves cond(A) < c / sqrt(2)
+    for a map A (see SyntheticSpec); np.linalg.cond decides only a map it rejects.
     """
     d, k = spec.dim, spec.num_clusters
 
-    prototypes = rng.standard_normal((k, d))
+    prototypes = rng.generator().standard_normal((k, d))
     maps, biases = [], []
     for _ in range(spec.num_speakers):
-        a = np.eye(d) + spec.map_scale * rng.standard_normal((d, d)) / np.sqrt(d)
+        a = np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d)
         gram = a.T @ a
         radius = np.abs(gram).sum(axis=1).max()  # Gershgorin: at least gram's largest eigenvalue
         gram.flat[:: d + 1] -= 2.0 * radius / spec.max_condition**2
@@ -267,26 +267,26 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
                     f"rendering map is ill-conditioned (condition {cond:.3g} > {spec.max_condition})"
                 ) from None
         maps.append(a)
-        biases.append(rng.standard_normal((d,)))
+        biases.append(rng.generator().standard_normal((d,)))
 
     corpus, assignments, silent_flags = [], [], []
     n = spec.frames_per_speaker
     for m in range(spec.num_speakers):
-        clusters = rng.integers(k, size=n)
+        clusters = rng.generator().integers(k, size=n)
         rendered = prototypes @ maps[m].T + biases[m]  # the K clean frames of speaker m
-        noise = rng.standard_normal((n, d))
-        noise *= spec.noise_scale
+        noise = rng.generator()
         frames = np.empty((n, d), dtype=np.float32)
         for start in range(0, n, _RENDER_ROWS):
             rows = slice(start, start + _RENDER_ROWS)
-            np.add(noise[rows], rendered[clusters[rows]], out=frames[rows])
-        del noise  # freed before the next speaker's noise is drawn
+            block = noise.standard_normal(frames[rows].shape)
+            block *= spec.noise_scale
+            np.add(block, rendered[clusters[rows]], out=frames[rows])
 
-        energy = rng.standard_normal((n,)) * 2.0
+        energy = rng.generator().standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)
         if spec.silence_fraction > 0:
             n_silent = int(round(spec.silence_fraction * n))
-            order = np.argsort(rng.standard_normal((n,)), kind="stable")
+            order = np.argsort(rng.generator().standard_normal((n,)), kind="stable")
             silent[order[:n_silent]] = True
             energy = energy - 60.0 * silent
 

@@ -161,7 +161,7 @@ class LatentBatch:
 
 
 def _init_tensor(rng: RngState, shape, fan_in: int, dtype) -> Tensor:
-    w = np.sqrt(2.0 / max(fan_in, 1)) * rng.standard_normal(shape, dtype=dtype)
+    w = np.sqrt(2.0 / max(fan_in, 1)) * rng.generator().standard_normal(shape, dtype=dtype)
     return Tensor(w.astype(dtype, copy=False), requires_grad=True)  # the scale is float64
 
 
@@ -192,7 +192,7 @@ def init_generator(config: NetworkConfig, rng: RngState, dtype=np.float32) -> Ge
     k = config.kernel_size
     tensors = {
         "embedding": Tensor(
-            0.5 * rng.standard_normal((config.num_speakers, config.embedding_dim), dtype=dtype),
+            0.5 * rng.generator().standard_normal((config.num_speakers, config.embedding_dim), dtype=dtype),
             requires_grad=True,
         )
     }
@@ -303,7 +303,7 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: RngState, eps=None) -> Late
     if eps is None:
         if rng is None:
             raise TypeError("reparameterize: pass an rng to draw eps from, or eps itself")
-        eps = rng.standard_normal(mu.shape, dtype=mu.data.dtype)
+        eps = rng.generator().standard_normal(mu.shape, dtype=mu.data.dtype)
     else:
         eps = np.asarray(eps, dtype=mu.data.dtype)
         if eps.shape != mu.shape:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, as_integer
+from .errors import ShapeError, as_integer, as_real
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -229,9 +229,12 @@ def _im2col(windows, buf) -> np.ndarray:
     return cols
 
 
-def _check_slope(op: str, slope):
-    if not 0.0 <= slope <= 1.0:
+def _check_slope(op: str, slope) -> float:
+    """``slope`` as a Python float in [0, 1], or ValueError; True is not 1."""
+    slope = as_real(f"{op}: slope", slope, ValueError, low=0.0)
+    if slope > 1.0:  # as_real's high is open, and 1 is allowed
         raise ValueError(f"{op}: slope must lie in [0, 1], got {slope}")
+    return slope
 
 
 def _leaky_grad(above, g, slope, out) -> np.ndarray:
@@ -298,7 +301,7 @@ def conv1d(x, w, bias, stride: int = 1, slope=None, upsample: int = 1) -> Tensor
     if upsample < 1:
         raise ShapeError(f"conv1d: upsample must be >= 1, got {upsample}")
     if slope is not None:
-        _check_slope("conv1d", slope)
+        slope = _check_slope("conv1d", slope)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: need 3-D input and kernel, got {x.shape} and {w.shape}")
     batch, c_in, length = x.shape
@@ -414,7 +417,7 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     Branch-free: ``np.maximum`` forward; backward scales g by max(x >= 0, slope),
     which is exactly slope or 1.
     """
-    _check_slope("leaky_relu", slope)
+    slope = _check_slope("leaky_relu", slope)
     x = as_tensor(x)
     data = np.multiply(x.data, slope, out=np.empty_like(x.data))
     np.maximum(x.data, data, out=data)
@@ -627,9 +630,9 @@ def grad_check(fn, point: dict) -> float:
 class RngState:
     """Counter-based random stream: (seed, counter) pins every draw.
 
-    Each call derives a fresh generator from the pair and bumps the
-    counter, so streams are reproducible and resumable after
-    serialization of the two integers.
+    ``generator()`` derives a fresh numpy Generator from the pair and bumps
+    the counter by one, so streams are reproducible and resumable from the
+    two integers. Blocks drawn in turn from one Generator equal one draw.
     """
 
     seed: int
@@ -644,13 +647,7 @@ class RngState:
         if self.counter < 0:
             raise ValueError(f"counter must be non-negative, got {self.counter}")
 
-    def _generator(self) -> np.random.Generator:
+    def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.counter,))
         self.counter += 1
         return np.random.Generator(np.random.PCG64(ss))
-
-    def standard_normal(self, shape, dtype=np.float64) -> np.ndarray:
-        return self._generator().standard_normal(size=shape, dtype=dtype)
-
-    def integers(self, upper: int, size=None) -> np.ndarray:
-        return self._generator().integers(0, upper, size=size)

@@ -98,7 +98,7 @@ def _draw(params: M.ModelParams, pool: np.ndarray, batch_size: int, rng: RngStat
     """A batch of ``pool``'s rows in the parameters' dtype. Only the batch is cast, so a
     float64 pool does not carry the losses of a float32 model to float64."""
     dtype = params.encoder.tensors["conv0.w"].data.dtype
-    return pool[rng.integers(pool.shape[0], size=batch_size)].astype(dtype, copy=False)
+    return pool[rng.generator().integers(pool.shape[0], size=batch_size)].astype(dtype, copy=False)
 
 
 def _mean(terms: list[Tensor]) -> Tensor:

@@ -65,7 +65,7 @@ class TestAsReal:
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_raises_the_error_it_is_given(self, error):
-        for value in ("0.5", math.nan, -1.0):
+        for value in ("0.5", math.nan, -1.0, 10**400, -(10**400)):  # float(10**400) overflows
             with pytest.raises(error) as info:
                 as_real("x", value, error, low=0.0)
             assert type(info.value) is error

@@ -214,21 +214,21 @@ def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
     """The corpus built the direct way: one noise draw per speaker, the (N, D) gather
     of its clusters' clean frames added in place, then one cast of all frames to float32."""
     d, k, n = spec.dim, spec.num_clusters, spec.frames_per_speaker
-    prototypes = rng.standard_normal((k, d))
+    prototypes = rng.generator().standard_normal((k, d))
     maps, biases = [], []
     for _ in range(spec.num_speakers):
-        maps.append(np.eye(d) + spec.map_scale * rng.standard_normal((d, d)) / np.sqrt(d))
-        biases.append(rng.standard_normal((d,)))
+        maps.append(np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d))
+        biases.append(rng.generator().standard_normal((d,)))
     frames, energies, assignments, silent_flags = [], [], [], []
     for m in range(spec.num_speakers):
-        clusters = rng.integers(k, size=n)
-        x = rng.standard_normal((n, d))
+        clusters = rng.generator().integers(k, size=n)
+        x = rng.generator().standard_normal((n, d))
         x *= spec.noise_scale
         x += (prototypes @ maps[m].T + biases[m])[clusters]
-        energy = rng.standard_normal((n,)) * 2.0
+        energy = rng.generator().standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)
         if spec.silence_fraction > 0:
-            order = np.argsort(rng.standard_normal((n,)), kind="stable")
+            order = np.argsort(rng.generator().standard_normal((n,)), kind="stable")
             silent[order[: int(round(spec.silence_fraction * n))]] = True
             energy = energy - 60.0 * silent
         frames.append(x.astype(np.float32))
@@ -268,7 +268,7 @@ class TestSynthetic:
     def test_generation_peak_memory(self, peak_bytes):
         spec = SyntheticSpec(dim=256, frames_per_speaker=4096)
         speaker_block = spec.frames_per_speaker * spec.dim * np.dtype(np.float64).itemsize
-        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 2.5 * speaker_block
+        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 1.5 * speaker_block
 
     @pytest.mark.parametrize("silence_fraction", [0.0, 0.25], ids=["speech", "silence"])
     @pytest.mark.parametrize(

@@ -534,7 +534,7 @@ class TestConv1dSlope:
         return x, w, b, g
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, np.float32(0.2)], ids=repr)
     @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "row-blocks"])
     def test_bit_identical_to_separate_leaky_relu(self, dtype, slope, block_bytes, monkeypatch):
         if block_bytes is not None:
@@ -583,9 +583,9 @@ class TestConv1dSlope:
         out_bytes = call().data.nbytes  # the first call also grows the scratch arena
         assert peak_bytes(call) <= 1.1 * out_bytes  # a bool mask would add 1 / itemsize
 
-    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan"), True, np.True_, "0.2"], ids=repr)
     def test_rejects_slope_outside_unit_interval(self, slope):
-        with pytest.raises(ValueError, match="slope"):
+        with pytest.raises(ValueError, match="conv1d: slope"):
             nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 2, 3))), np.zeros((4, 1)),
                       slope=slope)
 
@@ -631,7 +631,7 @@ class TestConv1dArguments:
 
 class TestLeakyRelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, np.float32(0.2)], ids=repr)
     def test_bit_identical_to_where(self, dtype, slope):
         rng = np.random.default_rng(21)
         x = np.concatenate([[0.0, -0.0, 0.0, -0.0], rng.standard_normal(60)]).astype(dtype)
@@ -645,9 +645,15 @@ class TestLeakyRelu:
         assert out.data.tobytes() == ref_out.tobytes()
         assert t.grad.tobytes() == ref_grad.tobytes()
 
-    @pytest.mark.parametrize("slope", [1.5, -0.1])
+    def test_numpy_slope_is_read_as_a_python_float(self):
+        # a float64 scalar would otherwise carry a float32 input's product to float64
+        x = Tensor(np.random.default_rng(3).standard_normal(1000).astype(np.float32))
+        assert nm.leaky_relu(x, np.float64(0.2)).data.tobytes() == nm.leaky_relu(x, 0.2).data.tobytes()
+
+    # a bool is a flag, not slope 1
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan"), True, np.True_, "0.2"], ids=repr)
     def test_rejects_slope_outside_unit_interval(self, slope):
-        with pytest.raises(ValueError, match="slope"):
+        with pytest.raises(ValueError, match="leaky_relu: slope"):
             nm.leaky_relu(Tensor([1.0, -1.0]), slope=slope)
 
 
@@ -706,25 +712,25 @@ class TestGradCheck:
 
 class TestRng:
     def test_large_sample_moments(self):
-        draws = RngState(seed=123).standard_normal((100_000,))
+        draws = RngState(seed=123).generator().standard_normal((100_000,))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_same_seed_same_draws(self):
-        a = RngState(seed=42).standard_normal((17, 3))
-        b = RngState(seed=42).standard_normal((17, 3))
+        a = RngState(seed=42).generator().standard_normal((17, 3))
+        b = RngState(seed=42).generator().standard_normal((17, 3))
         assert np.array_equal(a, b)
 
     def test_shape(self):
-        assert RngState(seed=0).standard_normal((2, 3)).size == 6
+        assert RngState(seed=0).generator().standard_normal((2, 3)).size == 6
 
     def test_counter_advances_and_pins_state(self):
         rng = RngState(seed=9)
-        first = rng.standard_normal((4,))
+        first = rng.generator().standard_normal((4,))
         assert rng.counter == 1
-        second = rng.standard_normal((4,))
+        second = rng.generator().standard_normal((4,))
         assert not np.array_equal(first, second)
-        replay = RngState(seed=9, counter=1).standard_normal((4,))
+        replay = RngState(seed=9, counter=1).generator().standard_normal((4,))
         assert np.array_equal(second, replay)
 
     def test_rejects_out_of_range_seed(self):
@@ -747,4 +753,14 @@ class TestRng:
     def test_numpy_integers_stored_as_python_ints(self):
         rng = RngState(seed=np.uint64(7), counter=np.int32(2))
         assert type(rng.seed) is int and type(rng.counter) is int
-        assert np.array_equal(rng.standard_normal((3,)), RngState(7, 2).standard_normal((3,)))
+        assert np.array_equal(rng.generator().standard_normal((3,)),
+                              RngState(7, 2).generator().standard_normal((3,)))
+
+    def test_blocks_from_one_generator_equal_one_draw(self):
+        # the synthetic corpus draws each speaker's noise this way
+        whole = RngState(seed=8).generator().standard_normal((8, 4))
+        rng = RngState(seed=8)
+        generator = rng.generator()
+        blocks = [generator.standard_normal((3, 4)), generator.standard_normal((5, 4))]
+        assert rng.counter == 1  # one bump per generator, however many draws it makes
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
