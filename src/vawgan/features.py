@@ -179,23 +179,14 @@ class SyntheticSpec:
     Each speaker m renders ``num_clusters`` shared prototypes c_k through an
     affine map: x = A_m c_k + b_m + ``noise_scale`` e, with c_k, b_m and e
     standard normal and A_m = I + ``map_scale`` N / sqrt(dim), N standard
-    normal. These and ``max_condition``, which keeps the ideal conversion
-    A_t A_s^-1 (x - b_s) + b_t numerically trustworthy, are class constants.
-
-    A map passes when cond(A_m) <= ``max_condition`` = c. Most maps are
-    certified without an SVD: with G = A_m^T A_m and r = max_i sum_j |G_ij|
-    (Gershgorin, so r >= lambda_max(G)), a Cholesky factorization of
-    G - (2 r / c^2) I exists only if lambda_min(G) > 2 lambda_max(G) / c^2,
-    that is cond(A_m) < c / sqrt(2). The factor 2 covers the float64
-    rounding of G and of the factorization by orders of magnitude. A map
-    the factorization rejects has its condition computed exactly, so every
-    map is accepted or rejected on its exact condition.
+    normal. These are class constants. ||A_m - I||_2 concentrates near
+    2 ``map_scale`` = 0.3, so cond(A_m) stays near 2 and the ideal conversion
+    A_t A_s^-1 (x - b_s) + b_t inverts a well-conditioned map.
     """
 
     num_clusters: ClassVar[int] = 8
     noise_scale: ClassVar[float] = 0.05
     map_scale: ClassVar[float] = 0.15
-    max_condition: ClassVar[float] = 50.0
     num_speakers: int = 2
     dim: int = 24
     frames_per_speaker: int = 4000
@@ -245,28 +236,14 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     its noise; no frame goes through the D x D map on its own. A speaker's
     noise is drawn from one generator a block of rows at a time, scaled and
     summed in float64 straight into the float32 frames: no (N, D) float64
-    array is made. One Cholesky factorization of A^T A - (2 r / c^2) I, r the
-    Gershgorin bound of A^T A and c = max_condition, proves cond(A) < c / sqrt(2)
-    for a map A (see SyntheticSpec); np.linalg.cond decides only a map it rejects.
+    array is made.
     """
     d, k = spec.dim, spec.num_clusters
 
     prototypes = rng.generator().standard_normal((k, d))
     maps, biases = [], []
     for _ in range(spec.num_speakers):
-        a = np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d)
-        gram = a.T @ a
-        radius = np.abs(gram).sum(axis=1).max()  # Gershgorin: at least gram's largest eigenvalue
-        gram.flat[:: d + 1] -= 2.0 * radius / spec.max_condition**2
-        try:
-            np.linalg.cholesky(gram)  # exists only if cond(a) < max_condition / sqrt(2)
-        except np.linalg.LinAlgError:
-            cond = np.linalg.cond(a)
-            if cond > spec.max_condition:
-                raise DataError(
-                    f"rendering map is ill-conditioned (condition {cond:.3g} > {spec.max_condition})"
-                ) from None
-        maps.append(a)
+        maps.append(np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d))
         biases.append(rng.generator().standard_normal((d,)))
 
     corpus, assignments, silent_flags = [], [], []

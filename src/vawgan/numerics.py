@@ -570,9 +570,8 @@ def backward(output: Tensor):
         return
     pending = {id(output): np.ones_like(output.data)}
     for node in _reverse_topological(output):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
+        # each backward returns a gradient for every parent that requires grad: every node has one
+        g = pending.pop(id(node))
         if node._backward is None:
             node.grad = g if node.grad is None else node.grad + g
             continue

@@ -147,6 +147,11 @@ class TestFrameMatrix:
         with pytest.raises(DataError, match="energy holds non-finite"):
             FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, bad])
 
+    def test_rejects_energy_of_wrong_length(self):
+        for energy in ([0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]):
+            with pytest.raises(DataError, match="energy must have one entry per frame"):
+                FrameMatrix(0, [[1.0], [2.0]], energy=energy)
+
     @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
     def test_rejects_empty_dimensions(self, shape):
         with pytest.raises(DataError, match="N x D"):
@@ -239,8 +244,8 @@ def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
 
 
 def _variant(**constants) -> type[SyntheticSpec]:
-    """SyntheticSpec with some class constants overridden: a noise-free corpus, a
-    cluster count or a condition cap that the library's own constants never give."""
+    """SyntheticSpec with some class constants overridden: a noise-free corpus or a
+    cluster count that the library's own constants never give."""
     return type("SyntheticVariant", (SyntheticSpec,), constants)
 
 
@@ -268,7 +273,8 @@ class TestSynthetic:
     def test_generation_peak_memory(self, peak_bytes):
         spec = SyntheticSpec(dim=256, frames_per_speaker=4096)
         speaker_block = spec.frames_per_speaker * spec.dim * np.dtype(np.float64).itemsize
-        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 1.5 * speaker_block
+        RngState(0).generator()  # numpy 2 imports numpy.random on first use; keep that out of the reading
+        assert peak_bytes(lambda: ft.generate_synthetic(spec, RngState(3))) <= 1.4 * speaker_block
 
     @pytest.mark.parametrize("silence_fraction", [0.0, 0.25], ids=["speech", "silence"])
     @pytest.mark.parametrize(
@@ -287,31 +293,14 @@ class TestSynthetic:
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert rng.counter == reference_rng.counter
 
-    @pytest.mark.parametrize("dim", [1, 24, 512])
-    def test_well_conditioned_maps_skip_the_svd(self, dim, monkeypatch):
-        def cond(a):
-            raise AssertionError("np.linalg.cond reached for a well-conditioned map")
-
-        monkeypatch.setattr(np.linalg, "cond", cond)
-        _, truth = ft.generate_synthetic(SyntheticSpec(dim=dim, frames_per_speaker=3), RngState(4))
-        assert len(truth.maps) == 2
-
-    def test_condition_verdict_is_exact_where_the_certificate_fails(self, monkeypatch):
-        spec = SyntheticSpec(dim=6, frames_per_speaker=3)
-        _, truth = ft.generate_synthetic(spec, RngState(2))
-        worst = max(np.linalg.cond(a) for a in truth.maps)
-        svd_calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda a: svd_calls.append(a) or cond(a))
-        # above c / sqrt(2) the factorization fails for some map, and the exact condition decides
-        _, accepted = ft.generate_synthetic(_variant(max_condition=worst * 1.01)(dim=6, frames_per_speaker=3),
-                                            RngState(2))
-        assert svd_calls
-        for a, b in zip(accepted.maps, truth.maps):
-            assert a.tobytes() == b.tobytes()
-        with pytest.raises(DataError, match=rf"condition {worst:.3g} > "):
-            ft.generate_synthetic(_variant(max_condition=worst * 0.99)(dim=6, frames_per_speaker=3),
-                                  RngState(2))
+    def test_maps_are_well_conditioned(self):
+        # ||A_m - I||_2 concentrates near 2 map_scale = 0.3, so ideal_conversion's inverse is safe
+        worst = {}
+        for dim, seeds in [(dim, 300) for dim in range(1, 9)] + [(24, 3), (512, 2)]:
+            spec = SyntheticSpec(dim=dim, frames_per_speaker=1)
+            worst[dim] = max(np.linalg.cond(a) for seed in range(seeds)
+                             for a in ft.generate_synthetic(spec, RngState(seed))[1].maps)
+        assert max(worst.values()) < 3, worst
 
     def test_ideal_conversion_reproduces_target_cluster(self):
         spec = _variant(num_clusters=4, noise_scale=0.0)(frames_per_speaker=40, dim=8)
@@ -358,11 +347,6 @@ class TestSynthetic:
         for a, b in zip(corpus_a, corpus_b):
             assert np.array_equal(a.frames, b.frames)
             assert np.array_equal(a.energy, b.energy)
-
-    def test_ill_conditioned_map_rejected(self):
-        spec = _variant(max_condition=1.0000001)(dim=6)
-        with pytest.raises(DataError, match="ill-conditioned"):
-            ft.generate_synthetic(spec, RngState(2))
 
     def test_speaker_means_differ(self):
         corpus, truth = ft.generate_synthetic(SyntheticSpec(frames_per_speaker=500), RngState(3))
@@ -515,6 +499,10 @@ class TestNormStatsFormat:
     def test_rejects_zero_width_stats(self):
         with pytest.raises(DataError, match="non-empty"):
             NormStats(mins=[], maxs=[])
+
+    def test_rejects_max_below_min(self):
+        with pytest.raises(DataError, match="max must be >= min"):
+            NormStats(mins=[0.0, 1.0], maxs=[1.0, 0.5])
 
     def test_bad_magic_distinct_from_bad_version(self, tmp_path):
         path = tmp_path / "stats.vawn"

@@ -199,6 +199,12 @@ class TestGenerator:
         block_bytes = 64 * config.generator_channels[-1] * config.dim * 4
         assert peak_bytes(lambda: md.generate(z, 1, params)) <= 1.65 * block_bytes
 
+    def test_rejects_wrong_width(self):
+        params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
+        for z in (np.zeros((2, Z_DIM + 1)), np.zeros(Z_DIM)):
+            with pytest.raises(ShapeError, match=rf"generate: expected \(batch, {Z_DIM}\) latents"):
+                md.generate(z, 0, params)
+
     def test_unknown_speaker_rejected(self):
         params = md.init_generator(CHECK_CONFIG, RngState(seed=1))
         with pytest.raises(UnknownSpeakerError):

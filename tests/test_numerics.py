@@ -17,6 +17,12 @@ class TestForward:
         out = nm.matmul(eye, x)
         assert np.array_equal(out.data, [[3.0], [-1.5]])
 
+    def test_integer_data_is_stored_as_float64(self):
+        for data in (np.arange(3), [1, 2], np.array([True, False])):
+            assert Tensor(data).data.dtype == np.float64
+        assert Tensor(np.arange(3)).data.tolist() == [0.0, 1.0, 2.0]
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+
     def test_item_needs_exactly_one_element(self):
         assert Tensor([[2.5]]).item() == 2.5
         for data in ([3.0, 4.0], np.zeros((0,))):
@@ -57,10 +63,22 @@ class TestForward:
     def test_shape_mismatch_names_offending_op(self):
         with pytest.raises(ShapeError, match="matmul"):
             nm.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        for op in (nm.add, nm.sub, nm.mul):
+            with pytest.raises(ShapeError, match=rf"{op.__name__}: cannot broadcast \(2, 3\) with \(4,\)"):
+                op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
         with pytest.raises(ShapeError, match="conv1d"):
             nm.conv1d(Tensor(np.ones((1, 2, 5))), Tensor(np.ones((4, 3, 3))), np.zeros((4, 1)))
+        for x, w in ((np.ones((2, 5)), np.ones((4, 2, 3))), (np.ones((1, 2, 5)), np.ones((4, 6)))):
+            with pytest.raises(ShapeError, match="conv1d: need 3-D input and kernel"):
+                nm.conv1d(Tensor(x), Tensor(w), np.zeros((4, 1)))
+        with pytest.raises(ShapeError, match="broadcast: cannot broadcast"):
+            nm.broadcast_to(Tensor(np.ones((2, 3))), (4, 3))
         with pytest.raises(ShapeError, match="concat"):
             nm.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))], axis=1)
+        with pytest.raises(ShapeError, match="concat: empty input list"):
+            nm.concat([])
+        with pytest.raises(ShapeError, match=r"reshape: cannot view \(2, 3\) as \(4,\)"):
+            nm.reshape(Tensor(np.ones((2, 3))), (4,))
         for reduce, name in ((nm.reduce_sum, "reduce_sum"), (nm.reduce_mean, "reduce_mean")):
             for axis in (2, -3):  # numpy's AxisError would name no op
                 with pytest.raises(ShapeError, match=rf"{name}: .*\(2, 3\)"):
@@ -102,6 +120,12 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
             nm.backward(nm.square(x))
+
+    def test_output_that_needs_no_grad_is_left_alone(self):
+        x = Tensor([1.0, 2.0])
+        out = nm.reduce_sum(nm.square(x))
+        nm.backward(out)
+        assert x.grad is None and out.grad is None
 
     def test_conv_mlp_composite_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -609,9 +633,10 @@ class TestConv1dArguments:
         with pytest.raises(ShapeError, match="non-empty"):
             nm.conv1d(Tensor(np.ones((1, 2, length))), Tensor(np.ones((4, 2, kernel))), self.B)
 
-    def test_zero_upsample_rejected(self):
-        with pytest.raises(ShapeError, match="upsample"):
-            nm.conv1d(self.X, self.W, self.B, upsample=0)
+    @pytest.mark.parametrize("knob", ["stride", "upsample"])
+    def test_zero_stride_or_upsample_rejected(self, knob):
+        with pytest.raises(ShapeError, match=rf"conv1d: {knob} must be >= 1, got 0"):
+            nm.conv1d(self.X, self.W, self.B, **{knob: 0})
 
     @pytest.mark.parametrize(
         "knob", [{"padding": 1.0}, {"stride": 1.5}, {"stride": "2"}, {"upsample": 1.5},
@@ -690,6 +715,11 @@ def test_clip_rejects_nan_bound(lo, hi):
 
 
 class TestGradCheck:
+    def test_rejects_non_scalar_fn(self):
+        x = _param(np.random.default_rng(1), (3,))
+        with pytest.raises(ShapeError, match=r"grad_check: fn must return a scalar, got shape \(3,\)"):
+            nm.grad_check(lambda p: nm.square(p["x"]), {"x": x})
+
     def test_one_element_vector_output(self):
         rng = np.random.default_rng(3)
         a = _param(rng, (2, 3))

@@ -3,6 +3,7 @@ import pytest
 
 from vawgan import numerics as nm
 from vawgan import objectives as obj
+from vawgan.errors import ShapeError
 from vawgan.numerics import Tensor
 
 
@@ -45,6 +46,10 @@ class TestKlLoss:
                 np.testing.assert_allclose(mu, 0.0, atol=1e-4)
                 np.testing.assert_allclose(log_var, 0.0, atol=1e-4)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"kl_loss: mu \(2, 3\) vs log_var \(2, 4\)"):
+            obj.kl_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+
     def test_monte_carlo_error_shrinks_like_sqrt_n(self):
         rng = np.random.default_rng(5)
         mu = rng.uniform(-2, 2, size=(2, 4))
@@ -78,6 +83,10 @@ class TestReconLoss:
         naive /= 6
         assert abs(obj.recon_loss(x, x_hat).item() - naive) < 1e-10
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"recon_loss: x \(2, 3\) vs x_hat \(3, 3\)"):
+            obj.recon_loss(np.zeros((2, 3)), np.zeros((3, 3)))
+
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         x, x_hat = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
@@ -105,6 +114,11 @@ class TestWganObjective:
         base = obj.wgan_objective(real, fake).item()
         shifted = obj.wgan_objective(real + 17.5, fake + 17.5).item()
         assert shifted == pytest.approx(base, abs=1e-12)
+
+    def test_rejects_empty_batch(self):
+        for real, fake in ((np.zeros(0), np.zeros(2)), (np.zeros(2), np.zeros(0))):
+            with pytest.raises(ShapeError, match="wgan_objective: score batches must be non-empty"):
+                obj.wgan_objective(real, fake)
 
     def test_gradient_signs_match_roles(self):
         real = Tensor(np.array([1.0, 2.0]), requires_grad=True)
