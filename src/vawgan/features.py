@@ -5,9 +5,9 @@ and optional per-frame log energy. One shared NormStats maps every
 dimension to [-1, 1] and back; the encoder must stay speaker-blind, so
 the normalizer is fit over all speakers jointly.
 
-Synthetic corpora render K shared "phone" cluster prototypes through a
-per-speaker affine map, which makes the ideal conversion of any frame
-computable in closed form and keeps the learning task honest to check.
+Synthetic corpora add noise to K shared "phone" prototypes rendered through
+a per-speaker affine map; the ground truth keeps every speaker's K clean
+frames, so a frame's ideal conversion swaps them and keeps its own noise.
 """
 
 from __future__ import annotations
@@ -161,10 +161,9 @@ def filter_nonsilent(
     if x.energy is None:
         warnings.warn("filter_nonsilent: no energy vector present, keeping all frames")
         return x
-    cutoff = x.energy.max() - np.float32(threshold_db)
-    keep = x.energy >= cutoff
-    if not keep.any():
-        raise DataError("filter_nonsilent: threshold removed every frame")
+    with np.errstate(over="ignore"):  # a cutoff below float32 range is -inf: every frame passes
+        cutoff = x.energy.max() - np.float32(threshold_db)
+    keep = x.energy >= cutoff  # the loudest frame always passes
     return FrameMatrix(speaker_id=x.speaker_id, frames=x.frames[keep], energy=x.energy[keep])
 
 
@@ -179,9 +178,8 @@ class SyntheticSpec:
     Each speaker m renders ``num_clusters`` shared prototypes c_k through an
     affine map: x = A_m c_k + b_m + ``noise_scale`` e, with c_k, b_m and e
     standard normal and A_m = I + ``map_scale`` N / sqrt(dim), N standard
-    normal. These are class constants. ||A_m - I||_2 concentrates near
-    2 ``map_scale`` = 0.3, so cond(A_m) stays near 2 and the ideal conversion
-    A_t A_s^-1 (x - b_s) + b_t inverts a well-conditioned map.
+    normal. These are class constants. Only the clean frames A_m c_k + b_m
+    outlive generation, in ``GroundTruth.clean``.
     """
 
     num_clusters: ClassVar[int] = 8
@@ -201,63 +199,63 @@ class SyntheticSpec:
 
 @dataclass
 class GroundTruth:
-    """Generation record: cluster assignments plus the per-speaker maps."""
+    """Generation record: every speaker's clean frames and every frame's cluster."""
 
-    prototypes: np.ndarray  # (K, D)
-    maps: list[np.ndarray]  # per speaker (D, D)
-    biases: list[np.ndarray]  # per speaker (D,)
+    clean: np.ndarray  # (speakers, K, D) float64: clean[m, k] is speaker m's frame of cluster k
     assignments: list[np.ndarray]  # per speaker (N,) cluster index
     silent: list[np.ndarray]  # per speaker (N,) bool
 
-    def ideal_conversion(self, frames: np.ndarray, source_id: int, target_id: int) -> np.ndarray:
-        """Closed-form map composition taking source-space frames to target space."""
-        source_id = as_speaker(source_id, len(self.maps))
-        target_id = as_speaker(target_id, len(self.maps))
-        a_t = self.maps[target_id]
+    def ideal_conversion(self, frames: np.ndarray, clusters: np.ndarray, source_id: int,
+                         target_id: int) -> np.ndarray:
+        """Each frame's clean source frame swapped for the target's, its noise carried over;
+        ``clusters`` holds each frame's cluster in [0, K), in the shape of ``frames.shape[:-1]``."""
+        speakers, k, d = self.clean.shape
+        source_id, target_id = as_speaker(source_id, speakers), as_speaker(target_id, speakers)
         frames = np.asarray(frames, dtype=np.float64)
-        if frames.shape[-1:] != a_t.shape[1:]:
-            raise DimMismatchError(f"frames of shape {frames.shape} for a corpus of dim {len(a_t)}")
-        a_s_inv = np.linalg.inv(self.maps[source_id])
-        centered = frames - self.biases[source_id]
-        return (a_t @ (a_s_inv @ centered.T)).T + self.biases[target_id]
+        if frames.shape[-1:] != (d,):
+            raise DimMismatchError(f"frames of shape {frames.shape} for a corpus of dim {d}")
+        clusters = np.asarray(clusters)
+        if clusters.shape != frames.shape[:-1]:
+            raise DataError(f"clusters of shape {clusters.shape} for frames of shape {frames.shape}")
+        # a negative index would wrap to another cluster
+        if clusters.dtype.kind not in "iu" or ((clusters < 0) | (clusters >= k)).any():
+            raise DataError(f"clusters must be integers in [0, {k}), got {clusters.dtype} {clusters}")
+        return frames - self.clean[source_id, clusters] + self.clean[target_id, clusters]
 
     def clean_frame(self, speaker_id: int, cluster: int) -> np.ndarray:
-        speaker_id = as_speaker(speaker_id, len(self.maps))
+        speaker_id = as_speaker(speaker_id, len(self.clean))
         # a negative index would wrap to another cluster
-        index = as_integer("cluster", cluster, low=0, high=self.prototypes.shape[0])
-        return self.maps[speaker_id] @ self.prototypes[index] + self.biases[speaker_id]
+        index = as_integer("cluster", cluster, low=0, high=self.clean.shape[1])
+        return self.clean[speaker_id, index].copy()
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: RngState):
     """Render a corpus from the spec; returns (list of FrameMatrix, GroundTruth).
 
     Every frame is one of K cluster prototypes plus noise, so each speaker's
-    K clean frames are rendered once and each frame adds its row of them to
-    its noise; no frame goes through the D x D map on its own. A speaker's
-    noise is drawn from one generator a block of rows at a time, scaled and
-    summed in float64 straight into the float32 frames: no (N, D) float64
-    array is made.
+    K clean frames are rendered once, as its map is drawn, and each frame adds
+    its row of them to its noise. A speaker's noise is drawn from one generator
+    a block of rows at a time, scaled and summed in float64 straight into the
+    float32 frames: no (N, D) float64 array is made.
     """
-    d, k = spec.dim, spec.num_clusters
+    d, k, n = spec.dim, spec.num_clusters, spec.frames_per_speaker
 
     prototypes = rng.generator().standard_normal((k, d))
-    maps, biases = [], []
-    for _ in range(spec.num_speakers):
-        maps.append(np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d))
-        biases.append(rng.generator().standard_normal((d,)))
+    clean = np.empty((spec.num_speakers, k, d))
+    for m in range(spec.num_speakers):  # speaker m's map x -> A_m x + b_m, applied to every prototype
+        a_m = np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d)
+        clean[m] = prototypes @ a_m.T + rng.generator().standard_normal((d,))
 
     corpus, assignments, silent_flags = [], [], []
-    n = spec.frames_per_speaker
     for m in range(spec.num_speakers):
         clusters = rng.generator().integers(k, size=n)
-        rendered = prototypes @ maps[m].T + biases[m]  # the K clean frames of speaker m
         noise = rng.generator()
         frames = np.empty((n, d), dtype=np.float32)
         for start in range(0, n, _RENDER_ROWS):
             rows = slice(start, start + _RENDER_ROWS)
             block = noise.standard_normal(frames[rows].shape)
             block *= spec.noise_scale
-            np.add(block, rendered[clusters[rows]], out=frames[rows])
+            np.add(block, clean[m, clusters[rows]], out=frames[rows])
 
         energy = rng.generator().standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)
@@ -271,9 +269,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngState):
         assignments.append(clusters)
         silent_flags.append(silent)
 
-    truth = GroundTruth(prototypes=prototypes, maps=maps, biases=biases,
-                        assignments=assignments, silent=silent_flags)
-    return corpus, truth
+    return corpus, GroundTruth(clean=clean, assignments=assignments, silent=silent_flags)
 
 
 # ---------------------------------------------------------------------------

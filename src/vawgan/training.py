@@ -13,9 +13,9 @@ every reparameterization draw from the ``RngState`` it is given, so a
 run is reproducible from ``(seed, counter)`` and the optimizer state.
 
 ``frames`` is indexed by speaker id: ``frames[s]`` holds normalized
-(N_s, dim) frames of speaker ``s``, N_s >= 1, one pool per speaker of the
-model (any other pool count or width, or an empty pool, raises
-``DataError`` before any draw). The VAE terms average one batch of
+(N_s, dim) frames of speaker ``s`` as an ``np.ndarray``, N_s >= 1, one pool
+per speaker of the model (any other pool count, type or width, or an empty
+pool, raises ``DataError`` before any draw). The VAE terms average one batch of
 every speaker, each reconstructed with its own embedding.
 """
 
@@ -81,17 +81,18 @@ def rmsprop_update(params: M.ModelParams, mean_square: dict):
 
 
 def _check_pools(params: M.ModelParams, frames):
-    """DataError unless there is one non-empty pool of ``dim``-wide frames per speaker
-    of the model; called before any draw."""
+    """DataError unless there is one non-empty (n, ``dim``) ``np.ndarray`` of frames per
+    speaker of the model; called before any draw."""
     speakers, dim = params.generator.config.num_speakers, params.generator.config.dim
     if len(frames) != speakers:
         raise DataError(f"{len(frames)} frame pools for a model of {speakers} speakers")
     for speaker, pool in enumerate(frames):
+        if not isinstance(pool, np.ndarray):  # _draw indexes the pool with an index array
+            raise DataError(f"speaker {speaker}'s frames are a {type(pool).__name__}, not an np.ndarray")
+        if pool.shape[1:] != (dim,):
+            raise DataError(f"speaker {speaker}'s frames have shape {pool.shape}, not (n, {dim})")
         if len(pool) == 0:
             raise DataError(f"speaker {speaker} has an empty frame pool")
-        if np.shape(pool)[1:] != (dim,):
-            raise DataError(f"speaker {speaker}'s frames have shape {np.shape(pool)}, "
-                            f"not (n, {dim})")
 
 
 def _draw(params: M.ModelParams, pool: np.ndarray, batch_size: int, rng: RngState) -> np.ndarray:

@@ -214,22 +214,39 @@ class TestFilterNonsilent:
         for threshold_db in (np.float32(30), np.int64(30)):
             assert ft.filter_nonsilent(fm, threshold_db=threshold_db).num_frames == 1
 
+    @pytest.mark.parametrize("threshold_db", [1e39, 1e300])
+    def test_threshold_beyond_float32_keeps_every_frame(self, threshold_db):
+        fm = FrameMatrix(0, [[1.0], [2.0], [3.0]], energy=[3e38, 0.0, -3e38])
+        assert ft.filter_nonsilent(fm, threshold_db=threshold_db).num_frames == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=20),
+           st.floats(min_value=0.0, max_value=1e300))
+    def test_keeps_the_loudest_frame_and_everything_louder_than_a_dropped_one(self, energy, threshold_db):
+        fm = FrameMatrix(0, np.zeros((len(energy), 1)), energy=energy)
+        kept = ft.filter_nonsilent(fm, threshold_db=threshold_db).energy
+        assert fm.energy.max() in kept
+        dropped = np.setdiff1d(fm.energy, kept)
+        assert dropped.size == 0 or dropped.max() < kept.min()
+
 
 def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
-    """The corpus built the direct way: one noise draw per speaker, the (N, D) gather
-    of its clusters' clean frames added in place, then one cast of all frames to float32."""
+    """The corpus built the direct way: every map drawn first, then per speaker one noise
+    draw, the (N, D) gather of its clusters' clean frames added in place, then one cast of
+    all frames to float32. Returns the clean-frame table first."""
     d, k, n = spec.dim, spec.num_clusters, spec.frames_per_speaker
     prototypes = rng.generator().standard_normal((k, d))
     maps, biases = [], []
     for _ in range(spec.num_speakers):
         maps.append(np.eye(d) + spec.map_scale * rng.generator().standard_normal((d, d)) / np.sqrt(d))
         biases.append(rng.generator().standard_normal((d,)))
+    clean = np.stack([prototypes @ a.T + b for a, b in zip(maps, biases)])
     frames, energies, assignments, silent_flags = [], [], [], []
     for m in range(spec.num_speakers):
         clusters = rng.generator().integers(k, size=n)
         x = rng.generator().standard_normal((n, d))
         x *= spec.noise_scale
-        x += (prototypes @ maps[m].T + biases[m])[clusters]
+        x += clean[m][clusters]
         energy = rng.generator().standard_normal((n,)) * 2.0
         silent = np.zeros(n, dtype=bool)
         if spec.silence_fraction > 0:
@@ -240,7 +257,7 @@ def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
         energies.append(energy.astype(np.float32))
         assignments.append(clusters)
         silent_flags.append(silent)
-    return [prototypes], maps, biases, frames, energies, assignments, silent_flags
+    return [clean], frames, energies, assignments, silent_flags
 
 
 def _variant(**constants) -> type[SyntheticSpec]:
@@ -285,45 +302,76 @@ class TestSynthetic:
         spec = SyntheticSpec(num_speakers=3, dim=7, frames_per_speaker=frames, silence_fraction=silence_fraction)
         rng, reference_rng = RngState(2**63 + 5), RngState(2**63 + 5)
         corpus, truth = ft.generate_synthetic(spec, rng)
-        got = ([truth.prototypes], truth.maps, truth.biases, [fm.frames for fm in corpus],
-               [fm.energy for fm in corpus], truth.assignments, truth.silent)
+        got = ([truth.clean], [fm.frames for fm in corpus], [fm.energy for fm in corpus],
+               truth.assignments, truth.silent)
         for ours, reference in zip(got, _reference_synthetic(spec, reference_rng), strict=True):
             assert len(ours) == len(reference)
             for a, b in zip(ours, reference):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert rng.counter == reference_rng.counter
 
-    def test_maps_are_well_conditioned(self):
-        # ||A_m - I||_2 concentrates near 2 map_scale = 0.3, so ideal_conversion's inverse is safe
-        worst = {}
-        for dim, seeds in [(dim, 300) for dim in range(1, 9)] + [(24, 3), (512, 2)]:
-            spec = SyntheticSpec(dim=dim, frames_per_speaker=1)
-            worst[dim] = max(np.linalg.cond(a) for seed in range(seeds)
-                             for a in ft.generate_synthetic(spec, RngState(seed))[1].maps)
-        assert max(worst.values()) < 3, worst
+    def test_ground_truth_is_the_clean_table(self):
+        names = [f.name for f in dataclasses.fields(ft.GroundTruth)]
+        assert names == ["clean", "assignments", "silent"]
+        spec = SyntheticSpec(num_speakers=3, dim=5, frames_per_speaker=2)
+        _, truth = ft.generate_synthetic(spec, RngState(4))
+        assert truth.clean.shape == (3, SyntheticSpec.num_clusters, 5) and truth.clean.dtype == np.float64
+        frame, before = truth.clean_frame(2, 7), truth.clean.copy()
+        np.testing.assert_array_equal(frame, truth.clean[2, 7])
+        frame += 1.0  # a copy: the caller cannot edit the ground truth through it
+        np.testing.assert_array_equal(truth.clean, before)
+
+    def test_ideal_conversion_carries_the_noise_over(self):
+        spec = SyntheticSpec(num_speakers=3, dim=16, frames_per_speaker=300)
+        corpus, truth = ft.generate_synthetic(spec, RngState(9))
+        for source, target in ((0, 1), (2, 0), (1, 1)):
+            x, clusters = corpus[source].frames, truth.assignments[source]
+            converted = truth.ideal_conversion(x, clusters, source, target)
+            expected = truth.clean[target, clusters] - truth.clean[source, clusters]
+            np.testing.assert_allclose(converted - x, expected, rtol=0, atol=1e-12)
 
     def test_ideal_conversion_reproduces_target_cluster(self):
         spec = _variant(num_clusters=4, noise_scale=0.0)(frames_per_speaker=40, dim=8)
         corpus, truth = ft.generate_synthetic(spec, RngState(9))
-        source = corpus[0]
-        converted = truth.ideal_conversion(source.frames, source_id=0, target_id=1)
-        for row, cluster in zip(converted, truth.assignments[0]):
-            np.testing.assert_allclose(row, truth.clean_frame(1, cluster), atol=1e-4)
+        converted = truth.ideal_conversion(corpus[0].frames, truth.assignments[0], source_id=0, target_id=1)
+        # the frames are the float32 roundings of the clean source rows
+        np.testing.assert_allclose(converted, truth.clean[1, truth.assignments[0]], rtol=0, atol=1e-6)
 
     def test_ideal_conversion_checks_frame_width(self):
         _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
         for frames in (np.zeros((2, 5)), np.zeros((2, 3)), np.zeros(5), np.float64(0.0)):
             with pytest.raises(DimMismatchError, match="for a corpus of dim 4"):
-                truth.ideal_conversion(frames, 0, 1)
-        single = truth.ideal_conversion(np.ones(4), 0, 1)  # one frame as a vector still converts
-        np.testing.assert_array_equal(single, truth.ideal_conversion(np.ones((1, 4)), 0, 1)[0])
+                truth.ideal_conversion(frames, np.zeros(np.shape(frames)[:-1], dtype=int), 0, 1)
+
+    def test_ideal_conversion_of_one_frame_is_row_zero_of_a_batch(self):
+        _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
+        frames = np.arange(8.0).reshape(2, 4)
+        batch = truth.ideal_conversion(frames, np.array([5, 2]), 0, 1)
+        for cluster in (5, np.int64(5), np.array(5)):
+            np.testing.assert_array_equal(truth.ideal_conversion(frames[0], cluster, 0, 1), batch[0])
+
+    @pytest.mark.parametrize(
+        "clusters, match",
+        [([0, -1], r"clusters must be integers in \[0, 8\)"),  # -1 would wrap to the last cluster
+         ([8, 0], r"clusters must be integers in \[0, 8\)"),
+         ([0.0, 1.0], r"clusters must be integers in \[0, 8\), got float64"),
+         ([True, False], r"clusters must be integers in \[0, 8\), got bool"),
+         ([0, 1, 2], r"clusters of shape \(3,\) for frames of shape \(2, 4\)"),
+         ([[0, 1]], r"clusters of shape \(1, 2\) for frames of shape \(2, 4\)"),
+         (0, r"clusters of shape \(\) for frames of shape \(2, 4\)")],
+        ids=["negative", "past-last", "float", "bool", "too-many", "extra-axis", "scalar"],
+    )
+    def test_ideal_conversion_rejects_bad_clusters(self, clusters, match):
+        _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
+        with pytest.raises(DataError, match=match):
+            truth.ideal_conversion(np.zeros((2, 4)), clusters, 0, 1)
 
     def test_unknown_speakers_rejected(self):
         _, truth = ft.generate_synthetic(SyntheticSpec(dim=4, frames_per_speaker=3), RngState(1))
         frames = np.zeros((1, 4))
         for source, target in ((0, -1), (-1, 1), (0, 2), (2, 0), (0, 1.0)):
             with pytest.raises(UnknownSpeakerError):
-                truth.ideal_conversion(frames, source, target)
+                truth.ideal_conversion(frames, [0], source, target)
         for speaker in (-1, 2, 0.5):
             with pytest.raises(UnknownSpeakerError):
                 truth.clean_frame(speaker, 0)

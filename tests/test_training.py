@@ -121,15 +121,16 @@ class TestEmptyPools:
         pools[empty] = pools[empty][:0]
         self._rejected_before_any_draw(step, pools, f"speaker {empty} has an empty frame pool")
 
-    # three pools or one for a two-speaker model, or frames of another width
+    # three pools or one for a two-speaker model, frames of another width, or a list of rows
     @pytest.mark.parametrize("step", ["warmup", "critic", "joint"])
     @pytest.mark.parametrize(
         "pools, match",
         [(lambda f: [*f, f[0]], "3 frame pools for a model of 2 speakers"),
          (lambda f: f[:1], "1 frame pools for a model of 2 speakers"),
          (lambda f: [f[0], f[1][:, :12]], r"speaker 1's frames have shape \(64, 12\), not \(n, 24\)"),
-         (lambda f: [f[0][:, None, :], f[1]], r"speaker 0's frames have shape \(64, 1, 24\)")],
-        ids=["three-pools", "one-pool", "narrow-frames", "3d-pool"],
+         (lambda f: [f[0][:, None, :], f[1]], r"speaker 0's frames have shape \(64, 1, 24\)"),
+         (lambda f: [f[0], f[1].tolist()], "speaker 1's frames are a list, not an np.ndarray")],
+        ids=["three-pools", "one-pool", "narrow-frames", "3d-pool", "list-pool"],
     )
     def test_pools_that_do_not_fit_the_model_rejected_before_any_draw(self, frames, step, pools, match):
         self._rejected_before_any_draw(step, pools(list(frames)), match)
