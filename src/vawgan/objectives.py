@@ -4,7 +4,7 @@ Sign convention: every "loss" here is minimized. The critic's
 maximization of the Wasserstein estimate is realized by minimizing its
 negation in the critic updates of `training.joint_step`. Per parameter
 set the objectives are: encoder minimizes recon + KL, generator
-minimizes recon + alpha * wasserstein_gap, critic maximizes
+minimizes recon + `training.ALPHA` * wasserstein_gap, critic maximizes
 wasserstein_gap.
 
 The reconstruction term drops the constant (D/2) log 2pi of the
@@ -54,17 +54,9 @@ def wgan_objective(real_scores, fake_scores) -> Tensor:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Component record of one training step's objectives.
-
-    ``alpha`` weights the Wasserstein term: 0 in the warm-up, and
-    `training.TrainConfig.alpha` in the joint phase.
-    """
+    """The measured objectives of one training step: KL, reconstruction and the
+    Wasserstein gap (0 in the warm-up), whose weight is `training.ALPHA`."""
 
     j_lat: float
     j_obs: float
     j_wgan: float
-    alpha: float
-
-    @property
-    def total(self) -> float:
-        return self.j_obs + self.j_lat + self.alpha * self.j_wgan

@@ -345,17 +345,19 @@ class TestNonFiniteOutputs:
             calls[net]()
 
     @pytest.mark.parametrize("net,name,value,layer", SITES)
-    def test_critic_step_names_layer(self, net, name, value, layer):
+    def test_critic_step_names_layer(self, net, name, value, layer, monkeypatch):
         params, frames = self._planted(net, name, value)
+        monkeypatch.setattr(tr, "BATCH_SIZE", 8)
         with self._raises_naming(layer), np.errstate(invalid="ignore"):
-            tr.critic_step(params, frames, 0, 1, tr.TrainConfig(batch_size=8), RngState(2), {})
+            tr.critic_step(params, frames, 0, 1, RngState(2), {})
 
     # warm-up never runs the critic
     @pytest.mark.parametrize("net,name,value,layer", [site for site in SITES if site[0] != "critic"])
-    def test_warmup_step_names_layer(self, net, name, value, layer):
+    def test_warmup_step_names_layer(self, net, name, value, layer, monkeypatch):
         params, frames = self._planted(net, name, value)
+        monkeypatch.setattr(tr, "BATCH_SIZE", 8)
         with self._raises_naming(layer), np.errstate(invalid="ignore"):
-            tr.warmup_step(params, frames, tr.TrainConfig(batch_size=8), RngState(2), {})
+            tr.warmup_step(params, frames, RngState(2), {})
 
     def test_finite_forward_scans_only_its_outputs(self, monkeypatch):
         # mu and log-variance heads, the generator's output conv, the critic's score
@@ -407,15 +409,16 @@ class TestConv1dCalls:
             return conv(x, w, **kwargs)
 
         monkeypatch.setattr(nm, "conv1d", spy)
-        config, small = NetworkConfig(dim=24), tr.TrainConfig(batch_size=8)
+        monkeypatch.setattr(tr, "BATCH_SIZE", 8)
+        config = NetworkConfig(dim=24)
         params = md.init_model(config, RngState(seed=0))
         rng = np.random.default_rng(1)
         frames = [_frames(rng, 16, config.dim).astype(np.float32) for _ in range(2)]
         mu, _ = md.encode(frames[0], params.encoder)
         md.generate(mu, 1, params.generator)
         md.criticize(frames[0], params.critic)
-        tr.warmup_step(params, frames, small, RngState(2), {})
-        tr.critic_step(params, frames, 0, 1, small, RngState(3), {})
+        tr.warmup_step(params, frames, RngState(2), {})
+        tr.critic_step(params, frames, 0, 1, RngState(3), {})
         # 3 encoder, 4 generator and 3 critic convs; warm-up: 2 encodes and 2 generates;
         # critic step: 1 encode, 1 generate and 2 criticizes
         assert len(calls) == 3 + 4 + 3 + 2 * (3 + 4) + 3 + 4 + 2 * 3

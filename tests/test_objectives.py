@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vawgan import numerics as nm
 from vawgan import objectives as obj
+from vawgan import training as tr
 from vawgan.errors import ShapeError
 from vawgan.numerics import Tensor
 
@@ -130,11 +133,10 @@ class TestWganObjective:
 
 class TestVawganTotal:
     def test_default_joint_phase_weight_is_50(self):
-        from vawgan.training import TrainConfig
+        assert tr.ALPHA == 50.0
 
-        assert TrainConfig().alpha == 50.0
+    def test_step_settings_are_the_fixed_configuration(self):
+        assert (tr.BATCH_SIZE, tr.N_CRITIC, tr.LEARNING_RATE) == (256, 5, 5e-5)
 
-    def test_total_recombines_components(self):
-        breakdown = obj.LossBreakdown(j_lat=0.25, j_obs=1.5, j_wgan=-0.125, alpha=50.0)
-        recombined = breakdown.j_obs + breakdown.j_lat + breakdown.alpha * breakdown.j_wgan
-        assert abs(breakdown.total - recombined) < 1e-6
+    def test_breakdown_holds_only_the_measured_parts(self):
+        assert [f.name for f in dataclasses.fields(obj.LossBreakdown)] == ["j_lat", "j_obs", "j_wgan"]

@@ -1,6 +1,3 @@
-import json
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -11,10 +8,13 @@ from vawgan import training as tr
 from vawgan.errors import DataError, UnknownSpeakerError
 from vawgan.model import NetworkConfig
 from vawgan.numerics import RngState
-from vawgan.training import TrainConfig
 
 CONFIG = NetworkConfig(dim=24)
-SMALL = TrainConfig(batch_size=8)
+
+
+@pytest.fixture(autouse=True)
+def small_batch(monkeypatch):
+    monkeypatch.setattr(tr, "BATCH_SIZE", 8)  # frames per speaker per pass; the library draws 256
 
 
 @pytest.fixture(scope="module")
@@ -32,45 +32,12 @@ def _arrays(group):
     return {name: t.data.copy() for name, t in group.tensors.items()}
 
 
-class TestTrainConfig:
-    def test_defaults(self):
-        config = TrainConfig()
-        assert (config.alpha, config.batch_size) == (50.0, 256)
-        assert (tr.N_CRITIC, tr.LEARNING_RATE) == (5, 5e-5)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"alpha": -0.1},
-            {"alpha": float("nan")},
-            {"batch_size": 0},
-            {"alpha": float("inf")},
-            {"batch_size": 2.5},
-            {"batch_size": True},
-            {"alpha": True},
-            {"alpha": np.bool_(False)},
-            {"alpha": "50"},
-        ],
-    )
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
-            TrainConfig(**bad)
-
-    def test_accepts_numpy_integer_batch_size(self):
-        assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
-
-    def test_settings_stored_as_python_numbers_round_trip_json(self):
-        config = TrainConfig(alpha=np.float32(0.1), batch_size=np.int64(8))
-        assert type(config.alpha) is float and type(config.batch_size) is int
-        assert TrainConfig(**json.loads(json.dumps(asdict(config)))) == config
-
-
 class TestWarmupStep:
     def test_critic_untouched_and_vae_updated(self, frames):
         params = _params()
         critic_before = _arrays(params.critic)
         encoder_before = _arrays(params.encoder)
-        breakdown = tr.warmup_step(params, frames, SMALL, RngState(1), {})
+        breakdown = tr.warmup_step(params, frames, RngState(1), {})
         for name, t in params.critic.tensors.items():
             assert np.array_equal(t.data, critic_before[name]), name
             assert t.grad is None, name
@@ -78,13 +45,13 @@ class TestWarmupStep:
             not np.array_equal(t.data, encoder_before[name])
             for name, t in params.encoder.tensors.items()
         )
-        assert breakdown.alpha == 0.0
-        assert breakdown.j_lat >= 0.0 and np.isfinite(breakdown.total)
+        assert breakdown.j_wgan == 0.0
+        assert breakdown.j_lat >= 0.0 and np.isfinite(breakdown.j_obs)
 
     def test_float64_pools_leave_every_warmup_tape_node_float32(self, frames, monkeypatch):
         losses, backward = [], nm.backward
         monkeypatch.setattr(nm, "backward", lambda out: (losses.append(out), backward(out)))
-        tr.warmup_step(_params(), [f.astype(np.float64) for f in frames], SMALL, RngState(6), {})
+        tr.warmup_step(_params(), [f.astype(np.float64) for f in frames], RngState(6), {})
         nodes, stack = {}, list(losses)
         while stack:  # every node on the loss's tape, constants and parameters too
             t = stack.pop()
@@ -102,13 +69,13 @@ class TestSpeakerIds:
         params, rng, state = _params(), RngState(seed=7, counter=4), {}
         before = {name: t.data.copy() for name, t in params.named_parameters().items()}
         with pytest.raises(UnknownSpeakerError):
-            step(params, frames, source, target, SMALL, rng, state)
+            step(params, frames, source, target, rng, state)
         assert rng.counter == 4 and state == {}
         for name, t in params.named_parameters().items():
             assert np.array_equal(t.data, before[name]), name
 
     def test_numpy_integer_speakers_accepted(self, frames):
-        gaps = [tr.critic_step(_params(), frames, s, t, SMALL, RngState(1), {})
+        gaps = [tr.critic_step(_params(), frames, s, t, RngState(1), {})
                 for s, t in ((0, 1), (np.int64(0), np.int32(1)))]
         assert gaps[0] == gaps[1]
 
@@ -121,7 +88,8 @@ class TestEmptyPools:
         pools[empty] = pools[empty][:0]
         self._rejected_before_any_draw(step, pools, f"speaker {empty} has an empty frame pool")
 
-    # three pools or one for a two-speaker model, frames of another width, or a list of rows
+    # three pools or one for a two-speaker model, frames of another width, a list of rows,
+    # or frames of a dtype that is not floating point
     @pytest.mark.parametrize("step", ["warmup", "critic", "joint"])
     @pytest.mark.parametrize(
         "pools, match",
@@ -129,8 +97,14 @@ class TestEmptyPools:
          (lambda f: f[:1], "1 frame pools for a model of 2 speakers"),
          (lambda f: [f[0], f[1][:, :12]], r"speaker 1's frames have shape \(64, 12\), not \(n, 24\)"),
          (lambda f: [f[0][:, None, :], f[1]], r"speaker 0's frames have shape \(64, 1, 24\)"),
-         (lambda f: [f[0], f[1].tolist()], "speaker 1's frames are a list, not an np.ndarray")],
-        ids=["three-pools", "one-pool", "narrow-frames", "3d-pool", "list-pool"],
+         (lambda f: [f[0], f[1].tolist()], "speaker 1's frames are a list, not an np.ndarray"),
+         (lambda f: [f[0], f[1].astype(str)], r"speaker 1's frames have dtype <U\d+, not a floating-point one"),
+         (lambda f: [f[0].astype(object), f[1]], "speaker 0's frames have dtype object"),
+         (lambda f: [f[0], f[1] > 0], "speaker 1's frames have dtype bool"),
+         (lambda f: [f[0].astype(np.complex64), f[1]], "speaker 0's frames have dtype complex64"),
+         (lambda f: [f[0], f[1].astype(np.int64)], "speaker 1's frames have dtype int64")],
+        ids=["three-pools", "one-pool", "narrow-frames", "3d-pool", "list-pool",
+             "str-pool", "object-pool", "bool-pool", "complex-pool", "int-pool"],
     )
     def test_pools_that_do_not_fit_the_model_rejected_before_any_draw(self, frames, step, pools, match):
         self._rejected_before_any_draw(step, pools(list(frames)), match)
@@ -139,7 +113,7 @@ class TestEmptyPools:
     def _rejected_before_any_draw(step, pools, match):
         params, rng, state = _params(), RngState(seed=7, counter=4), {}
         before = {name: t.data.copy() for name, t in params.named_parameters().items()}
-        args = (SMALL, rng, state) if step == "warmup" else (0, 1, SMALL, rng, state)
+        args = (rng, state) if step == "warmup" else (0, 1, rng, state)
         fn = {"warmup": tr.warmup_step, "critic": tr.critic_step, "joint": tr.joint_step}[step]
         with pytest.raises(DataError, match=match):
             fn(params, pools, *args)
@@ -162,17 +136,16 @@ class TestJointStep:
             return gap
 
         monkeypatch.setattr(tr, "critic_step", checked)
-        tr.joint_step(params, frames, 0, 1, SMALL, RngState(2), {})
+        tr.joint_step(params, frames, 0, 1, RngState(2), {})
         assert len(calls) == tr.N_CRITIC
         assert all(worst <= bound for worst in calls)
 
-    def test_wasserstein_gradient_reaches_generator_not_encoder(self, frames):
+    def test_wasserstein_gradient_reaches_generator_not_encoder(self, frames, monkeypatch):
         grads = {}
         for alpha in (0.0, 50.0):
             params = _params()
-            config = TrainConfig(alpha=alpha, batch_size=8)
-            breakdown = tr.joint_step(params, frames, 0, 1, config, RngState(4), {})
-            assert breakdown.alpha == alpha and breakdown.j_wgan != 0.0
+            monkeypatch.setattr(tr, "ALPHA", alpha)
+            assert tr.joint_step(params, frames, 0, 1, RngState(4), {}).j_wgan != 0.0
             grads[alpha] = {
                 net: {name: t.grad.copy() for name, t in group.tensors.items()}
                 for net, group in (("enc", params.encoder), ("gen", params.generator))
@@ -187,9 +160,9 @@ class TestJointStep:
         finals = []
         for _ in range(2):
             params, rng, state = _params(seed=5), RngState(seed=9, counter=3), {}
-            tr.warmup_step(params, frames, SMALL, rng, state)
-            tr.joint_step(params, frames, 0, 1, SMALL, rng, state)
-            tr.joint_step(params, frames, 1, 0, SMALL, rng, state)
+            tr.warmup_step(params, frames, rng, state)
+            tr.joint_step(params, frames, 0, 1, rng, state)
+            tr.joint_step(params, frames, 1, 0, rng, state)
             finals.append((params.named_parameters(), state, rng.counter))
         (p0, s0, c0), (p1, s1, c1) = finals
         assert c0 == c1
@@ -220,8 +193,8 @@ class TestJointStep:
         monkeypatch.setattr(tr, "rmsprop_update", checked)
         params, rng, state = _params(), RngState(6), {}
         frames64 = [f.astype(np.float64) for f in frames]
-        tr.warmup_step(params, frames64, SMALL, rng, state)
-        tr.joint_step(params, frames64, 0, 1, SMALL, rng, state)
+        tr.warmup_step(params, frames64, rng, state)
+        tr.joint_step(params, frames64, 0, 1, rng, state)
         # warm-up: 2 encodes and 2 generates; joint: 5 critic steps of 1 encode, 1 generate
         # and 2 criticizes, then 2 encodes, 3 generates and 2 criticizes
         assert len(outputs) == 2 * 2 + 2 + tr.N_CRITIC * 5 + 2 * 2 + 3 + 2
@@ -240,7 +213,7 @@ class TestJointStep:
 
         monkeypatch.setattr(tr, "rmsprop_update", checked)
         params, state = _params(), {}
-        tr.joint_step(params, frames, 0, 1, SMALL, RngState(6), state)
+        tr.joint_step(params, frames, 0, 1, RngState(6), state)
         named = params.named_parameters()
         vae = len(params.encoder.tensors) + len(params.generator.tensors)
         assert len(grad_dtypes) == tr.N_CRITIC * len(params.critic.tensors) + vae
