@@ -1,9 +1,10 @@
 """Spectral-frame ingestion, normalization and synthetic corpora.
 
 Frames live in a FrameMatrix (N x D, float32) tagged with a speaker id
-and optional per-frame log energy. One shared NormStats maps every
-dimension to [-1, 1] and back; the encoder must stay speaker-blind, so
-the normalizer is fit over all speakers jointly.
+and optional per-frame log energy; ``filter_nonsilent`` drops the frames
+more than ``SILENCE_THRESHOLD_DB`` below the loudest. One shared NormStats
+maps every dimension to [-1, 1] and back; the encoder must stay
+speaker-blind, so the normalizer is fit over all speakers jointly.
 
 Synthetic corpora add noise to K shared "phone" prototypes rendered through
 a per-speaker affine map; the ground truth keeps every speaker's K clean
@@ -37,7 +38,7 @@ FRAME_MAGIC = b"VAWF"
 NORM_MAGIC = b"VAWN"
 FORMAT_VERSION = 1
 
-DEFAULT_SILENCE_THRESHOLD_DB = 30.0
+SILENCE_THRESHOLD_DB = 30.0
 # rows of synthetic frames summed in float64 per block before the one rounding to float32
 _RENDER_ROWS = 256
 
@@ -91,6 +92,10 @@ class NormStats:
             raise DataError(f"non-finite values in dimensions {np.flatnonzero(bad).tolist()}")
         if np.any(self.maxs < self.mins):
             raise DataError("per-dimension max must be >= min")
+        with np.errstate(over="ignore"):  # the span normalize divides by and denormalize scales by
+            wide = ~np.isfinite(self.maxs - self.mins)
+        if wide.any():
+            raise DataError(f"max - min overflows float32 in dimensions {np.flatnonzero(wide).tolist()}")
 
     @property
     def dim(self) -> int:
@@ -149,20 +154,17 @@ def denormalize(x: FrameMatrix, s: NormStats) -> FrameMatrix:
     return FrameMatrix(speaker_id=x.speaker_id, frames=raw, energy=x.energy)
 
 
-def filter_nonsilent(
-    x: FrameMatrix, threshold_db: float = DEFAULT_SILENCE_THRESHOLD_DB
-) -> FrameMatrix:
-    """Keep frames whose energy is within threshold_db of the loudest frame.
+def filter_nonsilent(x: FrameMatrix) -> FrameMatrix:
+    """Keep frames whose energy is within ``SILENCE_THRESHOLD_DB`` of the loudest frame.
 
     Order is preserved. Without an energy vector there is nothing to
     filter on: the input is returned unchanged with a warning.
     """
-    threshold_db = as_real("threshold_db", threshold_db, low=0.0)  # True is not 1 dB
     if x.energy is None:
         warnings.warn("filter_nonsilent: no energy vector present, keeping all frames")
         return x
-    with np.errstate(over="ignore"):  # a cutoff below float32 range is -inf: every frame passes
-        cutoff = x.energy.max() - np.float32(threshold_db)
+    # float32 rounds -FLT_MAX - 30 back to -FLT_MAX, so the cutoff cannot overflow
+    cutoff = x.energy.max() - np.float32(SILENCE_THRESHOLD_DB)
     keep = x.energy >= cutoff  # the loudest frame always passes
     return FrameMatrix(speaker_id=x.speaker_id, frames=x.frames[keep], energy=x.energy[keep])
 

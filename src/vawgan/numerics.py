@@ -15,8 +15,9 @@ tensor operand's dtype (NEP 50's weak scalar): float32 stays float32.
 conv1d takes one dtype: x, w and the bias must share it. ``backward``
 gives each gradient its tensor's dtype, so every ``.grad``, and every
 gradient a primitive's backward receives, has the dtype of that tensor.
-add/sub/mul share one broadcasting helper, ``_broadcasting``; tanh, exp,
-log, square, clip and the two reductions share one one-input helper, ``_unary``.
+add/sub/mul share one broadcasting helper, ``_broadcasting``; every one-input
+primitive (leaky-ReLU, tanh, exp, log, square, clip, the two reductions,
+broadcast and reshape) is built by one helper, ``_unary``.
 
 conv1d is im2col plus one matmul plus a required bias, with activations
 kept as (batch, channels, length) and K // 2 zeros padded at each edge
@@ -41,8 +42,8 @@ the end, so blocking changes no bit.
 
 All primitives are pure: inputs are never mutated, and identical inputs
 give bitwise-identical outputs on one platform. Backward closures re-read
-their inputs' ``data`` (conv1d rebuilds its columns from ``x.data``), so
-do not mutate a tensor between its forward use and ``backward``.
+their inputs' ``data`` (conv1d rebuilds its columns and clip its mask from
+``x.data``), so do not mutate a tensor between its forward use and ``backward``.
 """
 
 from __future__ import annotations
@@ -411,6 +412,18 @@ def conv1d(x, w, bias, stride: int = 1, slope=None, upsample: int = 1) -> Tensor
     return _result(data, parents, backward_fn, "conv1d")
 
 
+def _unary(op: str, x, fn, grad_fn) -> Tensor:
+    """One-input primitive y = fn(x); ``grad_fn(g, x, y)`` maps y's gradient to x's.
+    A ValueError from ``fn`` (numpy's AxisError, or a reshape or broadcast to a shape
+    that does not fit) means x's shape does not suit it."""
+    x = as_tensor(x)
+    try:
+        data = fn(x.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: {exc}, input shape {x.shape}") from exc
+    return _result(data, (x,), lambda g: (grad_fn(g, x.data, data),), op)
+
+
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     """max(x, slope*x), slope in [0, 1]; at 0 the value is 0 and the subgradient is 1.
 
@@ -418,25 +431,10 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     which is exactly slope or 1.
     """
     slope = _check_slope("leaky_relu", slope)
-    x = as_tensor(x)
-    data = np.multiply(x.data, slope, out=np.empty_like(x.data))
-    np.maximum(x.data, data, out=data)
-
-    def backward_fn(g):
-        return (_leaky_grad(x.data >= 0, g, slope, np.empty(x.shape, dtype=g.dtype)),)
-
-    return _result(data, (x,), backward_fn, "leaky_relu")
-
-
-def _unary(op: str, x, fn, grad_fn) -> Tensor:
-    """One-input primitive y = fn(x); ``grad_fn(g, x, y)`` maps y's gradient to x's.
-    A ValueError from ``fn``, such as numpy's AxisError, means x's shape does not suit it."""
-    x = as_tensor(x)
-    try:
-        data = fn(x.data)
-    except ValueError as exc:
-        raise ShapeError(f"{op}: {exc}, input shape {x.shape}") from exc
-    return _result(data, (x,), lambda g: (grad_fn(g, x.data, data),), op)
+    return _unary(
+        "leaky_relu", x, lambda v: np.maximum(v, v * slope),
+        lambda g, x, y: _leaky_grad(x >= 0, g, slope, np.empty(x.shape, dtype=g.dtype)),
+    )
 
 
 def tanh(x) -> Tensor:
@@ -457,12 +455,11 @@ def square(x) -> Tensor:
 
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; pass-through gradient on the closed interval."""
-    x = as_tensor(x)
     if not lo <= hi:  # a NaN bound fails this too; it would turn every output into NaN
         raise ValueError(f"clip: lo {lo} exceeds hi {hi}, or a bound is NaN")
-    inside = (x.data >= lo) & (x.data <= hi)
     return _unary(
-        "clip", x, lambda v: np.clip(v, lo, hi), lambda g, x, y: np.where(inside, g, 0.0)
+        "clip", x, lambda v: np.clip(v, lo, hi),
+        lambda g, x, y: np.where((x >= lo) & (x <= hi), g, 0.0),
     )
 
 
@@ -486,17 +483,9 @@ def reduce_mean(x, axis=None) -> Tensor:
 
 
 def broadcast_to(x, shape) -> Tensor:
-    x = as_tensor(x)
-    shape = tuple(shape)
-    try:
-        data = np.broadcast_to(x.data, shape)
-    except ValueError as exc:
-        raise ShapeError(f"broadcast: cannot broadcast {x.shape} to {shape}") from exc
-
-    def backward_fn(g):
-        return (_unbroadcast(g, x.shape),)
-
-    return _result(data, (x,), backward_fn, "broadcast")
+    return _unary(
+        "broadcast", x, lambda v: np.broadcast_to(v, shape), lambda g, x, y: _unbroadcast(g, x.shape)
+    )
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -518,16 +507,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    try:
-        data = x.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {tuple(shape)}") from exc
-
-    def backward_fn(g):
-        return (g.reshape(x.shape),)
-
-    return _result(data, (x,), backward_fn, "reshape")
+    return _unary("reshape", x, lambda v: v.reshape(shape), lambda g, x, y: g.reshape(x.shape))
 
 
 # ---------------------------------------------------------------------------

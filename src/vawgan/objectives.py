@@ -2,7 +2,7 @@
 
 Sign convention: every "loss" here is minimized. The critic's
 maximization of the Wasserstein estimate is realized by minimizing its
-negation in the critic updates of `training.joint_step`. Per parameter
+negation in `training.critic_step`, the critic update. Per parameter
 set the objectives are: encoder minimizes recon + KL, generator
 minimizes recon + `training.ALPHA` * wasserstein_gap, critic maximizes
 wasserstein_gap.

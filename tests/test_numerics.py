@@ -71,18 +71,21 @@ class TestForward:
         for x, w in ((np.ones((2, 5)), np.ones((4, 2, 3))), (np.ones((1, 2, 5)), np.ones((4, 6)))):
             with pytest.raises(ShapeError, match="conv1d: need 3-D input and kernel"):
                 nm.conv1d(Tensor(x), Tensor(w), np.zeros((4, 1)))
-        with pytest.raises(ShapeError, match="broadcast: cannot broadcast"):
-            nm.broadcast_to(Tensor(np.ones((2, 3))), (4, 3))
         with pytest.raises(ShapeError, match="concat"):
             nm.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))], axis=1)
         with pytest.raises(ShapeError, match="concat: empty input list"):
             nm.concat([])
-        with pytest.raises(ShapeError, match=r"reshape: cannot view \(2, 3\) as \(4,\)"):
-            nm.reshape(Tensor(np.ones((2, 3))), (4,))
-        for reduce, name in ((nm.reduce_sum, "reduce_sum"), (nm.reduce_mean, "reduce_mean")):
-            for axis in (2, -3):  # numpy's AxisError would name no op
-                with pytest.raises(ShapeError, match=rf"{name}: .*\(2, 3\)"):
-                    reduce(Tensor(np.ones((2, 3))), axis=axis)
+        # numpy's own ValueError (AxisError for the reductions) would name no op
+        for name, op in (
+            ("broadcast", lambda x: nm.broadcast_to(x, (4, 3))),
+            ("reshape", lambda x: nm.reshape(x, (4,))),
+            ("reduce_sum", lambda x: nm.reduce_sum(x, axis=2)),
+            ("reduce_sum", lambda x: nm.reduce_sum(x, axis=-3)),
+            ("reduce_mean", lambda x: nm.reduce_mean(x, axis=2)),
+            ("reduce_mean", lambda x: nm.reduce_mean(x, axis=-3)),
+        ):
+            with pytest.raises(ShapeError, match=rf"{name}: .*input shape \(2, 3\)"):
+                op(Tensor(np.ones((2, 3))))
 
     def test_conv1d_matches_direct_convolution(self):
         rng = np.random.default_rng(11)
