@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 from dataclasses import asdict
 
@@ -20,6 +21,8 @@ from vawgan.errors import (
 )
 from vawgan.features import FrameMatrix, NormStats, SyntheticSpec
 from vawgan.numerics import RngState
+
+FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _random_corpus(seed=0, n=50, dim=5):
@@ -86,6 +89,14 @@ class TestNormalizer:
         frames = [[3e38, 1.0, -3e38], [-3e38, 2.0, 3e38]]
         with pytest.raises(DataError, match=r"max - min overflows float32 in dimensions \[0, 2\]"):
             ft.fit_normalizer([FrameMatrix(0, frames)])
+
+    def test_widest_span_float32_holds_round_trips(self):
+        # max - min is 3.4e38, just under FLT_MAX: accepted, and neither map overflows
+        frames = np.array([[-1.7e38], [1.7e38]], dtype=np.float32)
+        stats = ft.fit_normalizer([FrameMatrix(0, frames)])
+        scaled = ft.normalize(FrameMatrix(0, frames), stats).frames
+        np.testing.assert_array_equal(scaled, [[-1.0], [1.0]])
+        np.testing.assert_allclose(ft.denormalize(FrameMatrix(0, scaled), stats).frames, frames, rtol=1e-6)
 
     def test_fit_equals_extremes_of_the_stacked_corpus(self):
         rng = np.random.default_rng(4)
@@ -215,7 +226,7 @@ class TestFilterNonsilent:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=20),
            st.floats(min_value=0.0, max_value=1e3))
-    @example([float(np.finfo(np.float32).min)] * 2, 30.0)  # -FLT_MAX - 30 rounds to -FLT_MAX
+    @example([-FLT_MAX] * 2, 30.0)  # -FLT_MAX - 30 rounds to -FLT_MAX
     def test_keeps_the_loudest_frame_and_everything_louder_than_a_dropped_one(self, energy, threshold_db):
         fm = FrameMatrix(0, np.zeros((len(energy), 1)), energy=energy)
         # hypothesis runs every example in one call, so the function-scoped fixture cannot patch
@@ -225,6 +236,25 @@ class TestFilterNonsilent:
         assert fm.energy.max() in kept
         dropped = np.setdiff1d(fm.energy, kept)
         assert dropped.size == 0 or dropped.max() < kept.min()
+
+    @pytest.mark.parametrize("quiet_db, kept", [(-29.5, 2), (-30.0, 2), (-30.5, 1)])
+    def test_keeps_frames_within_the_constant_of_the_loudest(self, quiet_db, kept):
+        assert ft.SILENCE_THRESHOLD_DB == 30.0
+        fm = FrameMatrix(0, [[1.0], [2.0]], energy=[0.0, quiet_db])
+        assert ft.filter_nonsilent(fm).num_frames == kept
+
+    @pytest.mark.parametrize(
+        "energy, kept",
+        [
+            ([3e38, 0.0, -3e38], 1),
+            ([-FLT_MAX] * 3, 3),  # -FLT_MAX - 30 rounds back to -FLT_MAX: no overflow, all pass
+            ([FLT_MAX, FLT_MAX, 0.0], 2),
+            ([FLT_MAX, -FLT_MAX], 1),
+        ],
+    )
+    def test_cutoff_at_the_float32_extremes(self, energy, kept):
+        fm = FrameMatrix(0, np.zeros((len(energy), 1)), energy=energy)
+        assert ft.filter_nonsilent(fm).num_frames == kept
 
 
 def _reference_synthetic(spec: SyntheticSpec, rng: RngState):
@@ -544,6 +574,14 @@ class TestNormStatsFormat:
     def test_rejects_zero_width_stats(self):
         with pytest.raises(DataError, match="non-empty"):
             NormStats(mins=[], maxs=[])
+
+    @pytest.mark.parametrize(
+        "mins, maxs, dims",
+        [([-3e38], [3e38], [0]), ([0.0, -FLT_MAX, 1.0], [1.0, FLT_MAX, 1.0], [1])],
+    )
+    def test_built_stats_reject_a_span_beyond_float32(self, mins, maxs, dims):
+        with pytest.raises(DataError, match=re.escape(f"max - min overflows float32 in dimensions {dims}")):
+            NormStats(mins=mins, maxs=maxs)
 
     def test_read_rejects_a_span_beyond_float32(self, tmp_path):
         path = tmp_path / "stats.vawn"

@@ -717,6 +717,12 @@ def test_clip_rejects_nan_bound(lo, hi):
         nm.clip(Tensor([1.0, -1.0]), lo, hi)
 
 
+def test_clip_gradient_passes_on_the_closed_interval():
+    x = Tensor([-2.0, -0.5, 0.0, 0.5, 2.0], requires_grad=True)
+    nm.backward(nm.reduce_sum(nm.clip(x, -0.5, 0.5)))
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+
+
 class TestGradCheck:
     def test_rejects_non_scalar_fn(self):
         x = _param(np.random.default_rng(1), (3,))
